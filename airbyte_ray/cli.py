@@ -58,7 +58,6 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument("--lake", required=True)
     sp.add_argument("--base", required=True)
     sp.add_argument("--partitions", type=int, default=64)
-    sp.add_argument("--salt", type=int, default=1)
 
     ap = sub.add_parser("apply", help="replay a change log into the lake")
     ap.add_argument("--lake", required=True)
@@ -257,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.cmd == "snapshot":
             from .pipelines.replay import LakeTable, ReplayConfig
 
-            lake = LakeTable(args.lake, ReplayConfig(args.partitions, args.salt))
+            lake = LakeTable(args.lake, ReplayConfig(args.partitions))
             out = lake.init_snapshot(ray.data.read_parquet(args.base))
         elif args.cmd == "apply":
             from .pipelines.replay import LakeTable

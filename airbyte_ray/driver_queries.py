@@ -82,7 +82,7 @@ def q_cdc_replay_upsert(sf_dir: str) -> pa.Table:
     cdc = _events(sf_dir).map_batches(_to_cdc, batch_format="pyarrow")
     tmp = tempfile.mkdtemp(prefix="cdc_lake_", dir="/tmp")
     try:
-        lake = LakeTable(os.path.join(tmp, "lake"), ReplayConfig(num_partitions=16, salt_factor=2))
+        lake = LakeTable(os.path.join(tmp, "lake"), ReplayConfig(num_partitions=16))
         lake._apply_ds(cdc, already_filtered=True)
         return lake.to_table()
     finally:
@@ -110,8 +110,7 @@ def q_cdc_backfill(sf_dir: str) -> pa.Table:
         wal = os.path.join(tmp, "wal.parquet")
         pq.write_table(cdc, wal)
         median = int(pc.approximate_median(cdc["lsn"]).as_py())
-        lake = LakeTable(os.path.join(tmp, "lake"),
-                         ReplayConfig(num_partitions=16, salt_factor=2))
+        lake = LakeTable(os.path.join(tmp, "lake"), ReplayConfig(num_partitions=16))
         lake.apply_log(wal, max_lsn=median)  # started mid-stream
 
         def read_chunk(lo, hi):
@@ -140,11 +139,11 @@ def q_cdc_lww_latest(sf_dir: str) -> ray.data.Dataset:
     """LWW reduce only (no lake io): latest event per key incl tombstones."""
     cdc = _events(sf_dir).map_batches(_to_cdc, batch_format="pyarrow")
     pre = cdc.map_batches(
-        partial(_pre_reduce, num_partitions=16, salt_factor=1), batch_format="pyarrow"
+        partial(_pre_reduce, num_partitions=16), batch_format="pyarrow"
     )
     reduced = pre.groupby("part").map_groups(
         lambda g: lww_reduce(g).drop_columns(
-            ["part", "part_salt", "n_src", "lsn_seen",
+            ["part", "n_src", "lsn_seen",
              "ts", "event_type", "value", CDC_UPDATED_AT]
         ),
         batch_format="pyarrow",

@@ -130,7 +130,7 @@ class CdcCatalogEngine:
 
         from ..schemas import unify_schemas
         from ..sources.event_log import log_max_lsn, read_event_log_with_schema
-        from .replay import _META_COLS, _merge_partition, _pre_reduce, lww_reduce
+        from .replay import _META_COLS, _merge_partition, _pre_reduce
 
         gs = self.load_global()
         top_ = log_max_lsn(log_paths)
@@ -198,9 +198,7 @@ class CdcCatalogEngine:
             for n in names
         }
         parts = {n: lakes[n].manifest.num_partitions for n in names}
-        salts = {n: lakes[n].manifest.salt_factor for n in names}
         policies = {n: lakes[n].config.merge_policy for n in names}
-        any_salted = any(s > 1 for s in salts.values())
 
         # route schema: event columns (minus stream col) + combiner columns,
         # so batches with no surviving rows stay schema-stable
@@ -208,7 +206,7 @@ class CdcCatalogEngine:
             [(nm, tp) for nm, tp in zip(ev_schema.names, ev_schema.types)
              if nm != stream_col]
             + [("n_src", pa.int64()), ("lsn_seen", pa.int64()), ("part", pa.int64()),
-               ("part_salt", pa.int64()), ("stream_idx", pa.int64())]
+               ("stream_idx", pa.int64())]
         )
 
         def split_route(t: pa.Table) -> pa.Table:
@@ -221,9 +219,7 @@ class CdcCatalogEngine:
                 sub = t.filter(mask)
                 if sub.num_rows == 0:
                     continue
-                sub = _pre_reduce(
-                    sub.drop_columns([stream_col]), parts[n], salts[n], policies[n]
-                )
+                sub = _pre_reduce(sub.drop_columns([stream_col]), parts[n], policies[n])
                 sub = sub.append_column(
                     "stream_idx", pa.array(np.full(sub.num_rows, i, np.int64))
                 )
@@ -232,10 +228,6 @@ class CdcCatalogEngine:
                 return route_schema.empty_table()
             return pa.concat_tables(subs)
 
-        def lww_multi(g: pa.Table) -> pa.Table:
-            n = names[int(g["stream_idx"][0].as_py())]
-            return lww_reduce(g, policies[n])
-
         def merge_multi(g: pa.Table) -> pa.Table:
             i = int(g["stream_idx"][0].as_py())
             lineage = _merge_partition(g.drop_columns(["stream_idx"]), ctxs[names[i]])
@@ -243,27 +235,16 @@ class CdcCatalogEngine:
                 "stream_name", pa.array([names[i]] * lineage.num_rows)
             )
 
-        routed = wal_ds.map_batches(split_route, batch_format="pyarrow")
-        if any_salted:
-            routed = routed.groupby(["stream_idx", "part_salt"]).map_groups(
-                lww_multi, batch_format="pyarrow"
-            )
-        # honor the same push-based-shuffle config the single-stream apply
-        # uses for its keyed exchange (replay.py measured 9.5s vs 63s
-        # pull-based on the 4.5M-event bench); sync_shared previously
-        # ignored the flag and always ran pull-based.  Measured round-4
-        # (1M-row WAL, 8 CPUs): sync_shared lands within ~15% of a
-        # single-stream apply_log of the same WAL — the multi-stream split
-        # adds no meaningful cost beyond the shuffle itself.
-        from .replay import _PUSH_SCOPE, _NullScope
-
-        push = all(lakes[n].config.push_shuffle for n in names)
-        with (_PUSH_SCOPE if push else _NullScope()):
-            lineage = (
-                routed.groupby(["stream_idx", "part"])
-                .map_groups(merge_multi, batch_format="pyarrow")
-                .take_all()
-            )
+        # the same single keyed exchange as LakeTable.apply_log, keyed by
+        # (stream, part).  Measured round-4 (1M-row WAL, 8 CPUs): sync_shared
+        # lands within ~15% of a single-stream apply_log of the same WAL —
+        # the multi-stream split adds no meaningful cost beyond the shuffle.
+        lineage = (
+            wal_ds.map_batches(split_route, batch_format="pyarrow")
+            .groupby(["stream_idx", "part"])
+            .map_groups(merge_multi, batch_format="pyarrow")
+            .take_all()
+        )
         elapsed = _time.perf_counter() - t0
 
         by_stream: dict[str, list[dict]] = {n: [] for n in names}

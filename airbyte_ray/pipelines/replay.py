@@ -7,21 +7,17 @@ dedup of identical redeliveries) as an idiomatic Ray Data plan:
 
     read_event_log(lsn > watermark)                 # predicate pushdown
       → map_batches(_pre_reduce, pyarrow)           # per-batch LWW combiner
-                                                    #   + salted partition keys
-      → groupby(part_salt).map_groups(lww)          # salted reduce (hot keys
-                                                    #   split across salts)
-      → groupby(part).map_groups(_merge_partition)  # reconcile salts, merge
-                                                    #   with old segment, write
+                                                    #   + partition key
+      → groupby(part).map_groups(_merge_partition)  # LWW reduce, merge with
+                                                    #   old segment, write
       → lineage rows (P small rows) → manifest.commit()
 
 Why this shape at 100 TB:
 
 * the per-batch combiner collapses duplicate keys *before* any shuffle, so
-  a hot doc_id contributes at most one row per input block to the exchange;
-* salting (``part_salt = part * S + lsn % S``) bounds any remaining skew —
-  the final ``groupby(part)`` is the reconciliation pass over already-reduced
-  (tiny) data, per the north rule;
-* the only large shuffle is the salted groupby, keyed by an int;
+  a hot doc_id contributes at most one row per input block to the exchange —
+  that bounds hot-key skew without a second reduce stage;
+* the only shuffle is one sort shuffle keyed by the int ``part``;
 * exactly-once: segments have deterministic paths derived from the committed
   watermark; a retried/crashed run rewrites identical bytes; visibility is
   the atomic manifest replace (BufferedStreamConsumer commit discipline,
@@ -40,7 +36,6 @@ partitioning key for the table's lifetime).
 from __future__ import annotations
 
 import os
-import shutil
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -58,7 +53,7 @@ from ..state.manifest import Manifest, PartitionEntry
 
 #: event-envelope columns that are not payload
 _META_COLS = (
-    "lsn", "op", CDC_UPDATED_AT, CDC_DELETED_AT, "part", "part_salt", "n_src",
+    "lsn", "op", CDC_UPDATED_AT, CDC_DELETED_AT, "part", "n_src",
     "lsn_seen",  # watermark combiner column (max lsn consumed incl. losers)
     "_ab_cdc_snapshot",  # explicit snapshot-event flag (envelope, not payload)
 )
@@ -127,9 +122,9 @@ def lww_reduce(t: pa.Table, policy: tuple | None = None) -> pa.Table:
     return kept
 
 
-def _pre_reduce(t: pa.Table, num_partitions: int, salt_factor: int,
+def _pre_reduce(t: pa.Table, num_partitions: int,
                 policy: tuple | None = None) -> pa.Table:
-    """Per-batch combiner + partition keys.  Runs before any shuffle."""
+    """Per-batch combiner + partition key.  Runs before the shuffle."""
     if t.num_rows == 0:
         return t
     if "n_src" not in t.schema.names:
@@ -139,63 +134,8 @@ def _pre_reduce(t: pa.Table, num_partitions: int, salt_factor: int,
         # max-folded through every reduce — see lww_reduce
         t = t.append_column("lsn_seen", t["lsn"])
     t = lww_reduce(t, policy)
-    h = stable_hash(t["doc_id"])
-    part = (h % np.uint64(num_partitions)).astype(np.int64)
-    lsn = t["lsn"].to_numpy()
-    salt = lsn % salt_factor if salt_factor > 1 else np.zeros(len(lsn), np.int64)
-    t = t.append_column("part", pa.array(part))
-    return t.append_column("part_salt", pa.array(part * salt_factor + salt))
-
-
-def _lww_group(t: pa.Table, policy: tuple | None = None) -> pa.Table:
-    return lww_reduce(t, policy)
-
-
-class _PushShuffleScope:
-    """Refcounted scope for the process-global ``DataContext.shuffle_strategy``:
-    concurrent stream syncs in THREADS (catalog_sync) share the context, so a
-    naive save/restore races — one thread's restore while another executes
-    would flip strategy mid-pipeline or leak the override (review finding).
-    The first entering thread saves the ambient value; the last leaving one
-    restores it."""
-
-    def __init__(self):
-        import threading
-
-        self._lock = threading.Lock()
-        self._count = 0
-        self._saved = None
-
-    def __enter__(self):
-        from ray.data.context import DataContext, ShuffleStrategy
-
-        with self._lock:
-            dctx = DataContext.get_current()
-            if self._count == 0:
-                self._saved = dctx.shuffle_strategy
-                dctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-            self._count += 1
-        return self
-
-    def __exit__(self, *exc):
-        from ray.data.context import DataContext
-
-        with self._lock:
-            self._count -= 1
-            if self._count == 0:
-                DataContext.get_current().shuffle_strategy = self._saved
-        return False
-
-
-_PUSH_SCOPE = _PushShuffleScope()
-
-
-class _NullScope:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    part = (stable_hash(t["doc_id"]) % np.uint64(num_partitions)).astype(np.int64)
+    return t.append_column("part", pa.array(part))
 
 
 def _seg_schema_of(out_schema: pa.Schema) -> pa.Schema:
@@ -235,11 +175,60 @@ def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
     return live.drop_columns([DELETED_COL])
 
 
+_LINEAGE_SCHEMA = pa.schema(
+    [
+        ("part", pa.int64()),
+        ("path", pa.string()),
+        ("rows", pa.int64()),
+        ("lsn_lo", pa.int64()),
+        ("lsn_hi", pa.int64()),
+        ("n_events", pa.int64()),
+        ("checksum", pa.int64()),
+        ("is_delta", pa.bool_()),
+    ]
+)
+
+
+def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
+                   lsn_lo: int = 0, lsn_hi: int = 0, n_events: int = 0,
+                   is_delta: bool = False) -> dict:
+    """Write one segment file atomically (tmp + ``os.replace``) and return
+    its lineage row.  The path is deterministic, so a retried task rewrites
+    identical bytes; the checksum is an order-insensitive hash of the
+    file's (doc_id, _ab_lsn) pairs."""
+    abs_path = os.path.join(lake_dir, rel)
+    os.makedirs(os.path.dirname(abs_path), exist_ok=True)
+    tmp = abs_path + f".tmp-{os.getpid()}"
+    pq.write_table(seg, tmp)
+    os.replace(tmp, abs_path)
+    checksum = int(
+        (stable_hash(seg["doc_id"]) + seg[LSN_COL].to_numpy().astype(np.uint64)).sum()
+        % np.uint64(2**63 - 1)
+    ) if seg.num_rows else 0
+    return {"part": part, "path": rel, "rows": seg.num_rows, "lsn_lo": lsn_lo,
+            "lsn_hi": lsn_hi, "n_events": n_events, "checksum": checksum,
+            "is_delta": is_delta}
+
+
+def _check_aligned(ids, part: int, num_partitions: int) -> None:
+    """Fail loudly when a shard of the partition-aligned path holds keys
+    that hash to another partition (misaligned input must not corrupt
+    state)."""
+    h = (stable_hash(ids) % np.uint64(num_partitions)).astype(np.int64)
+    if not (h == part).all():
+        bad = int((h != part).sum())
+        raise ValueError(
+            f"shard part={part}: {bad} rows hash to other partitions — "
+            "input is not aligned with the lake partitioning; use apply_log()"
+        )
+
+
 def _merge_partition(group: pa.Table, ctx: dict) -> pa.Table:
-    """Reconcile + merge one hash partition; write its new segment (or, in
+    """LWW-reduce + merge one hash partition; write its new segment (or, in
     delta mode, only this run's changes as a delta file); return a one-row
-    lineage table.  Runs as a stateless Ray task per partition (groupby
-    path) or inside a merge-applier actor (scatter path)."""
+    lineage table.  Runs as a stateless Ray task per partition: after the
+    keyed exchange (``apply_log``) or on one aligned shard
+    (``apply_partitioned``)."""
     policy = tuple(map(tuple, ctx["policy"])) if ctx.get("policy") else None
     # the partition-aligned shard path reduces the complete partition
     # in-task just before calling — don't pay the (idempotent) reduce twice
@@ -332,30 +321,9 @@ def _merge_partition(group: pa.Table, ctx: dict) -> pa.Table:
         new_seg = new_seg.take(pc.sort_indices(new_seg, sort_keys=[("doc_id", "ascending")]))
         rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_lsn_hi']:014d}.parquet")
 
-    # deterministic segment path → idempotent under task retry / crash replay
-    abs_path = os.path.join(ctx["lake_dir"], rel)
-    os.makedirs(os.path.dirname(abs_path), exist_ok=True)
-    tmp = abs_path + f".tmp-{os.getpid()}"
-    pq.write_table(new_seg, tmp)
-    os.replace(tmp, abs_path)
-
-    checksum = int(
-        (stable_hash(new_seg["doc_id"]) + new_seg[LSN_COL].to_numpy().astype(np.uint64)).sum()
-        % np.uint64(2**63 - 1)
-    ) if new_seg.num_rows else 0
-
-    return pa.table(
-        {
-            "part": pa.array([part], pa.int64()),
-            "path": pa.array([rel]),
-            "rows": pa.array([new_seg.num_rows], pa.int64()),
-            "lsn_lo": pa.array([lsn_lo], pa.int64()),
-            "lsn_hi": pa.array([lsn_hi], pa.int64()),
-            "n_events": pa.array([n_events], pa.int64()),
-            "checksum": pa.array([checksum], pa.int64()),
-            "is_delta": pa.array([delta_mode and old_entry is not None]),
-        }
-    )
+    row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi,
+                         n_events, delta_mode and old_entry is not None)
+    return pa.Table.from_pylist([row], schema=_LINEAGE_SCHEMA)
 
 
 def _fused_shard_apply(t: pa.Table, part: int, ctx: dict) -> pa.Table:
@@ -378,13 +346,7 @@ def _fused_shard_apply(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     ids_arr = t["doc_id"].combine_chunks()
     ids = ids_arr.to_numpy(zero_copy_only=False)
     if ctx["validate"]:
-        h = (stable_hash(ids) % np.uint64(ctx["num_partitions"])).astype(np.int64)
-        if not (h == part).all():
-            bad = int((h != part).sum())
-            raise ValueError(
-                f"shard part={part}: {bad} rows hash to other partitions — "
-                "input is not aligned with the lake partitioning; use apply_log()"
-            )
+        _check_aligned(ids, part, ctx["num_partitions"])
     inv, _ = pd.factorize(ids[order], sort=False)
     first = ~pd.Index(inv).duplicated(keep="first")
     win_idx = order[first]
@@ -442,27 +404,8 @@ def _fused_shard_apply(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     new_seg = both.take(pa.array(comp_idx[perm]))
 
     rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_lsn_hi']:014d}.parquet")
-    abs_path = os.path.join(ctx["lake_dir"], rel)
-    os.makedirs(os.path.dirname(abs_path), exist_ok=True)
-    tmp = abs_path + f".tmp-{os.getpid()}"
-    pq.write_table(new_seg, tmp)
-    os.replace(tmp, abs_path)
-    checksum = int(
-        (stable_hash(new_seg["doc_id"]) + new_seg[LSN_COL].to_numpy().astype(np.uint64)).sum()
-        % np.uint64(2**63 - 1)
-    ) if new_seg.num_rows else 0
-    return pa.table(
-        {
-            "part": pa.array([part], pa.int64()),
-            "path": pa.array([rel]),
-            "rows": pa.array([new_seg.num_rows], pa.int64()),
-            "lsn_lo": pa.array([lsn_lo], pa.int64()),
-            "lsn_hi": pa.array([lsn_hi], pa.int64()),
-            "n_events": pa.array([n_events], pa.int64()),
-            "checksum": pa.array([checksum], pa.int64()),
-            "is_delta": pa.array([False]),
-        }
-    )
+    row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi, n_events)
+    return pa.Table.from_pylist([row], schema=_LINEAGE_SCHEMA)
 
 
 def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
@@ -498,33 +441,9 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
         )
         sub = conform_table(sub, seg_schema)
         rel = os.path.join(f"part={p:05d}", f"seg-{0:014d}-{block_id}.parquet")
-        abs_path = os.path.join(ctx["lake_dir"], rel)
-        os.makedirs(os.path.dirname(abs_path), exist_ok=True)
-        tmp = abs_path + f".tmp-{os.getpid()}"
-        pq.write_table(sub, tmp)
-        os.replace(tmp, abs_path)
-        checksum = int(
-            stable_hash(sub["doc_id"]).sum() % np.uint64(2**63 - 1)
-        )
-        rows.append(
-            {"part": p, "path": rel, "rows": sub.num_rows, "lsn_lo": 0, "lsn_hi": 0,
-             "n_events": sub.num_rows, "checksum": checksum, "is_delta": False}
-        )
+        # _ab_lsn is 0 here, so the checksum is the plain doc_id hash sum
+        rows.append(_write_segment(ctx["lake_dir"], p, rel, sub, n_events=sub.num_rows))
     return pa.Table.from_pylist(rows, schema=_LINEAGE_SCHEMA)
-
-
-_LINEAGE_SCHEMA = pa.schema(
-    [
-        ("part", pa.int64()),
-        ("path", pa.string()),
-        ("rows", pa.int64()),
-        ("lsn_lo", pa.int64()),
-        ("lsn_hi", pa.int64()),
-        ("n_events", pa.int64()),
-        ("checksum", pa.int64()),
-        ("is_delta", pa.bool_()),
-    ]
-)
 
 
 def _apply_partition_shard(batch: pa.Table, ctx: dict) -> pa.Table:
@@ -545,13 +464,7 @@ def _apply_partition_shard(batch: pa.Table, ctx: dict) -> pa.Table:
             outs.append(_fused_shard_apply(t, part, ctx))
             continue
         if ctx["validate"]:
-            h = (stable_hash(t["doc_id"]) % np.uint64(ctx["num_partitions"])).astype(np.int64)
-            if not (h == part).all():
-                bad = int((h != part).sum())
-                raise ValueError(
-                    f"shard part={part}: {bad} rows hash to other partitions — "
-                    "input is not aligned with the lake partitioning; use apply_log()"
-                )
+            _check_aligned(t["doc_id"], part, ctx["num_partitions"])
         t = t.append_column("n_src", pa.array(np.ones(t.num_rows, np.int64)))
         t = t.append_column("lsn_seen", t["lsn"])
         t = lww_reduce(
@@ -565,171 +478,13 @@ def _apply_partition_shard(batch: pa.Table, ctx: dict) -> pa.Table:
     return pa.concat_tables(outs)
 
 
-class MergeApplierState:
-    """Stateful merge-applier (actor body; ``MergeApplier`` is the
-    ``ray.remote`` wrapper, this plain class is unit-testable directly) —
-    owns a fixed set of hash partitions.
-
-    The north-star exchange for CDC ingest: router tasks scatter pre-reduced
-    sub-batches DIRECTLY to the owning actor (object-store transfer, no sort
-    machinery, no barrier).  The actor buffers per partition, compacts with
-    the LWW reduce whenever a partition's buffer exceeds ``compact_rows``
-    (bounding memory by unique keys, the reference's applier-dict bound,
-    SURVEY §2.5), and on ``flush()`` merges each owned partition with its
-    old segment and writes the new segment.
-
-    On a multi-node cluster the actors spread across nodes and each ingests
-    only its own partitions' bytes — aggregate exchange bandwidth scales
-    with nodes, unlike a single-node sort.
-
-    Counter semantics under Ray task retry: a retried ROUTER task re-sends
-    its sub-batches, and duplicate (doc_id, lsn) rows collapse in the LWW
-    reduce — committed DATA stays exactly-once — but ``n_src`` sums, so the
-    ``applied_events``/``n_events`` lineage counters are at-least-once on a
-    retry-afflicted run (the shuffle and partition-aligned paths do not
-    share this: their retries recompute whole deterministic tasks).
-
-    **Spill-pointer state (the 100-TB memory contract beyond partition
-    count):** when a partition's COMPACTED buffer still exceeds
-    ``spill_bytes`` — i.e. unique-key cardinality × row width outgrows the
-    actor budget — the buffer is written to a log-structured spill chunk
-    under ``<lake_dir>/_spill/`` and the dict keeps only a ``(lsn_hi,
-    path, rows)`` pointer.  Resident actor heap during ingest is then
-    ≤ ``spill_bytes`` per owned partition regardless of key cardinality.
-    ``flush()`` folds a partition's spill chain INCREMENTALLY (reduce one
-    chunk at a time into the accumulator, peak = that partition's unique
-    keys + one chunk — the same transient bound the stateless shuffle
-    task has) and rewrites the segment; spill chunks are scratch, deleted
-    after the merge lands and swept by ``vacuum()`` if a crash orphans
-    them (the run's manifest never committed, so a rerun regenerates)."""
-
-    def __init__(self, parts: list[int], ctx: dict, compact_rows: int = 200_000,
-                 spill_bytes: int | None = None):
-        self.buf: dict[int, list[pa.Table]] = {p: [] for p in parts}
-        self.rows: dict[int, int] = {p: 0 for p in parts}
-        self.spilled: dict[int, list[dict]] = {p: [] for p in parts}
-        self.ctx = ctx
-        self.compact_rows = compact_rows
-        self.spill_bytes = spill_bytes
-        self.spill_dir = os.path.join(
-            ctx["lake_dir"], "_spill", f"applier-{os.getpid()}"
-        )
-
-    def _policy(self):
-        return tuple(map(tuple, self.ctx["policy"])) if self.ctx.get("policy") else None
-
-    def ingest(self, sub: pa.Table, part: int) -> int:
-        self.buf[part].append(sub)
-        self.rows[part] += sub.num_rows
-        if self.rows[part] > self.compact_rows:
-            merged = lww_reduce(pa.concat_tables(self.buf[part]), self._policy())
-            self.buf[part] = [merged]
-            self.rows[part] = merged.num_rows
-            if self.spill_bytes is not None and merged.nbytes > self.spill_bytes:
-                # compacted state still over budget: keep a pointer, not rows
-                rel = os.path.join(f"part={part:05d}",
-                                   f"spill-{len(self.spilled[part]):06d}.parquet")
-                path = os.path.join(self.spill_dir, rel)
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                tmp = path + ".tmp"
-                pq.write_table(merged, tmp)
-                os.replace(tmp, path)
-                self.spilled[part].append({
-                    "path": path,
-                    "rows": merged.num_rows,
-                    "lsn_hi": int(pc.max(merged["lsn"]).as_py()),
-                })
-                self.buf[part] = []
-                self.rows[part] = 0
-        return sub.num_rows
-
-    def flush(self) -> list[dict]:
-        out = []
-        pol = self._policy()
-        for p, tables in self.buf.items():
-            live_rows = sum(t.num_rows for t in tables)
-            if not self.spilled[p] and live_rows == 0:
-                continue
-            acc = lww_reduce(pa.concat_tables(tables), pol) if live_rows else None
-            for ptr in self.spilled[p]:
-                # incremental fold: one spill chunk in memory at a time on
-                # top of the deduped accumulator (≤ unique keys of part p)
-                chunk = pq.read_table(ptr["path"])
-                acc = chunk if acc is None else lww_reduce(
-                    pa.concat_tables([acc, chunk]), pol
-                )
-            if acc is None or acc.num_rows == 0:
-                continue
-            lineage = _merge_partition(acc, {**self.ctx, "pre_reduced": True})
-            out.extend(lineage.to_pylist())
-            for ptr in self.spilled[p]:
-                try:
-                    os.unlink(ptr["path"])
-                except OSError:
-                    pass
-        self.buf = {p: [] for p in self.buf}
-        self.rows = {p: 0 for p in self.rows}
-        self.spilled = {p: [] for p in self.spilled}
-        shutil.rmtree(self.spill_dir, ignore_errors=True)
-        return out
-
-
-MergeApplier = ray.remote(MergeApplierState)
-
-
-class _Router:
-    """Stateless map stage: split each pre-reduced batch by partition and
-    scatter sub-batches to the owning applier actor.  ``ray.get`` before
-    returning gives per-router backpressure (at most one in-flight wave per
-    router task)."""
-
-    def __init__(self, actors: list, num_partitions: int):
-        self.actors = actors
-        self.P = num_partitions
-        self.A = len(actors)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"routed": pa.array([], pa.int64())})
-        part = t["part"].to_numpy()
-        order = np.argsort(part, kind="stable")
-        sorted_t = t.take(pa.array(order))
-        sorted_part = part[order]
-        bounds = np.searchsorted(sorted_part, np.arange(self.P + 1))
-        refs = []
-        for p in range(self.P):
-            lo, hi = bounds[p], bounds[p + 1]
-            if hi > lo:
-                sub = sorted_t.slice(lo, hi - lo)
-                refs.append(self.actors[p % self.A].ingest.remote(sub, p))
-        routed = sum(ray.get(refs)) if refs else 0
-        return pa.table({"routed": pa.array([routed], pa.int64())})
-
-
 @dataclass
 class ReplayConfig:
-    """``salt_factor=1`` (default) runs ONE keyed shuffle — the per-batch
-    combiner already collapses duplicate keys before the exchange, so
-    moderate skew never concentrates work.  Set ``salt_factor>1`` when a
-    single key's update volume approaches a whole partition's budget
-    (measured: the salted two-stage path costs ~1.5× the single shuffle at
-    uniform skew — pay it only when needed)."""
+    """Per-lake replay settings.  ``apply_log`` always runs one keyed
+    exchange — the per-batch combiner collapses duplicate keys before it,
+    so a hot key adds at most one row per input block."""
 
     num_partitions: int = 64
-    salt_factor: int = 1
-    batch_size: int | None = None  # None → Ray picks per-block batches (zero-copy)
-    #: use Ray's push-based sort shuffle for the keyed exchange — streams map
-    #: outputs to reducers instead of a sample/sort barrier.  Measured on the
-    #: 4.5M-event bench (32 cpus): 9.5s vs 63s pull-based, and far lower
-    #: run-to-run variance.
-    push_shuffle: bool = True
-    #: exchange strategy: "shuffle" = groupby(part) (general; handles any
-    #: input) · "actors" = scatter to stateful merge-applier actors (no sort
-    #: machinery; each byte moves once; exchange bandwidth scales with the
-    #: nodes hosting the actors).  Both produce identical committed state.
-    exchange: str = "shuffle"
-    #: applier-actor pool size for exchange="actors"
-    num_appliers: int = 16
     #: write per-run delta files instead of rewriting touched partitions'
     #: full segments (O(delta) apply cost; resolve at read or via compact())
     delta_mode: bool = False
@@ -740,15 +495,6 @@ class ReplayConfig:
     #: ("lsn","descending") tiebreaker is implied.  Incompatible with
     #: delta_mode (delta resolve orders by _ab_lsn).
     merge_policy: tuple | None = None
-    #: per-partition buffered rows before in-actor LWW compaction
-    compact_rows: int = 200_000
-    #: applier-actor per-partition memory budget (bytes): when a partition's
-    #: COMPACTED buffer still exceeds this (key cardinality × row width over
-    #: the actor budget), it spills to a log-structured chunk under
-    #: ``<lake_dir>/_spill/`` and the actor keeps only a (lsn, path, rows)
-    #: pointer — resident heap stays ≤ spill_bytes/partition at ANY key
-    #: cardinality.  None (default) disables spilling.
-    spill_bytes: int | None = None
     #: auto-compaction: after a delta-mode apply, fold any partition whose
     #: delta chain exceeds this many files back to one base segment —
     #: bounds merge-on-read cost (task count and resolve work per read)
@@ -770,11 +516,11 @@ class LakeTable:
         m = Manifest.load(lake_dir)
         if m is None:
             cfg = config or ReplayConfig()
-            m = Manifest(num_partitions=cfg.num_partitions, salt_factor=cfg.salt_factor)
+            m = Manifest(num_partitions=cfg.num_partitions)
         elif config is not None and config.num_partitions != m.num_partitions:
             raise ValueError("num_partitions is fixed at lake creation")
         self.manifest = m
-        self.config = config or ReplayConfig(m.num_partitions, m.salt_factor)
+        self.config = config or ReplayConfig(m.num_partitions)
 
     # -- write path --------------------------------------------------------
     def init_snapshot(self, base: ray.data.Dataset) -> dict:
@@ -821,9 +567,7 @@ class LakeTable:
             base = base.repartition(max(8, min(256, size // (4 << 20) + 1)))
         lineage = (
             base.map_batches(
-                partial(_bootstrap_block, ctx=ctx),
-                batch_format="pyarrow",
-                batch_size=self.config.batch_size,
+                partial(_bootstrap_block, ctx=ctx), batch_format="pyarrow"
             ).take_all()
         )
         return self._commit(lineage, wm=-1, out_schema=out_schema,
@@ -907,24 +651,12 @@ class LakeTable:
         payload = pa.schema(ev_fields)  # doc_id + payload columns
         out_schema = payload if m.schema is None else unify_schemas(m.schema, payload)
 
-        scope = _PUSH_SCOPE if self.config.push_shuffle else _NullScope()
-        scope.__enter__()
-
         t0 = time.perf_counter()
         pol = self.config.merge_policy
         pre = events.map_batches(
-            partial(_pre_reduce, num_partitions=m.num_partitions,
-                    salt_factor=m.salt_factor, policy=pol),
+            partial(_pre_reduce, num_partitions=m.num_partitions, policy=pol),
             batch_format="pyarrow",
-            batch_size=self.config.batch_size,
         )
-        if m.salt_factor > 1:
-            reduced = pre.groupby("part_salt").map_groups(
-                partial(_lww_group, policy=pol), batch_format="pyarrow"
-            )
-        else:
-            reduced = pre
-
         ctx = {
             "lake_dir": self.lake_dir,
             "policy": pol,
@@ -934,46 +666,16 @@ class LakeTable:
                 for p, e in m.partitions.items()
             },
             "delta_mode": delta,
-            "run_lsn_hi": 0,  # patched below once known? no — must be deterministic
+            # deterministic run id: the previous watermark + 1 (unique per
+            # committed run chain; a crashed rerun reproduces the same paths)
+            "run_lsn_hi": wm + 1,
         }
-        # Deterministic run id: the previous watermark (unique per committed
-        # run chain; a crashed rerun reproduces the same segment paths).
-        ctx["run_lsn_hi"] = wm + 1
-
-        lineage_ds = None
-        try:
-            if self.config.exchange == "actors":
-                A = min(self.config.num_appliers, m.num_partitions)
-                # num_cpus=0: appliers must not reserve CPU slots, or they
-                # deadlock against the router tasks on small sessions —
-                # ingest is an append, flush runs after routers finish.
-                # SPREAD places appliers across nodes on a real cluster.
-                actors = [
-                    MergeApplier.options(num_cpus=0, scheduling_strategy="SPREAD").remote(
-                        [p for p in range(m.num_partitions) if p % A == i],
-                        ctx,
-                        self.config.compact_rows,
-                        self.config.spill_bytes,
-                    )
-                    for i in range(A)
-                ]
-                router = _Router(actors, m.num_partitions)
-                # consume the routed stream fully (count() drives execution)
-                reduced.map_batches(router, batch_format="pyarrow").sum("routed")
-                lineage = []
-                for chunk in ray.get([a.flush.remote() for a in actors]):
-                    lineage.extend(chunk)
-                for a in actors:
-                    ray.kill(a)
-            else:
-                lineage_ds = reduced.groupby("part").map_groups(
-                    partial(_merge_partition, ctx=ctx), batch_format="pyarrow"
-                )
-                lineage = lineage_ds.take_all()  # ≤ P small dicts
-        finally:
-            scope.__exit__()
+        lineage_ds = pre.groupby("part").map_groups(
+            partial(_merge_partition, ctx=ctx), batch_format="pyarrow"
+        )
+        lineage = lineage_ds.take_all()  # ≤ P small dicts
         elapsed = time.perf_counter() - t0
-        if os.environ.get("AIRBYTE_RAY_DEBUG") and lineage_ds is not None:
+        if os.environ.get("AIRBYTE_RAY_DEBUG"):
             import sys
 
             print(lineage_ds.stats(), file=sys.stderr)
@@ -1068,7 +770,7 @@ class LakeTable:
         segment, writes — each byte moves exactly once, embarrassingly
         parallel.  ``validate_alignment`` re-hashes keys in-task and fails
         loudly on misrouted rows (misaligned input must not corrupt state);
-        for unaligned logs use :meth:`apply_log` (shuffle or actor scatter).
+        for unaligned logs use :meth:`apply_log` (one keyed exchange).
         """
         import glob as _g
 
@@ -1181,15 +883,6 @@ class LakeTable:
                     removed += 1
             except FileNotFoundError:
                 pass
-        # applier spill chunks are run-scoped scratch (MergeApplier removes
-        # its own dir on flush); a crashed run orphans them — same age guard
-        for f in _g.glob(os.path.join(self.lake_dir, "_spill", "*", "part=*", "*")):
-            try:
-                if os.path.getmtime(f) < cutoff:
-                    os.remove(f)
-                    removed += 1
-            except FileNotFoundError:
-                pass
         return removed
 
     def compact(self, parts: list[int] | None = None) -> int:
@@ -1233,19 +926,8 @@ class LakeTable:
                     pc.sort_indices(live_t, sort_keys=[("doc_id", "ascending")])
                 )
                 rel = os.path.join(f"part={part:05d}", f"seg-{wm + 1:014d}-compact.parquet")
-                abs_path = os.path.join(lake_dir, rel)
-                os.makedirs(os.path.dirname(abs_path), exist_ok=True)
-                tmp = abs_path + f".tmp-{os.getpid()}"
-                pq.write_table(live_t, tmp)
-                os.replace(tmp, abs_path)
-                checksum = int(
-                    (stable_hash(live_t["doc_id"])
-                     + live_t[LSN_COL].to_numpy().astype(np.uint64)).sum()
-                    % np.uint64(2**63 - 1)
-                ) if live_t.num_rows else 0
-                rows.append({"part": part, "path": rel, "rows": live_t.num_rows,
-                             "checksum": checksum})
-            return pa.Table.from_pylist(rows)
+                rows.append(_write_segment(lake_dir, part, rel, live_t))
+            return pa.Table.from_pylist(rows, schema=_LINEAGE_SCHEMA)
 
         items = [
             {"part": e.part, "paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}

@@ -50,7 +50,6 @@ class PartitionEntry:
 @dataclass
 class Manifest:
     num_partitions: int
-    salt_factor: int = 1
     watermark: int = -1  # highest committed LSN, exclusive filter `lsn > watermark`
     schema_b64: str | None = None  # serialized unified Arrow schema
     #: schema-evolution DDL log (AirbyteSchemaHistoryStorage analog,
@@ -103,7 +102,6 @@ class Manifest:
             d = json.load(f)
         m = cls(
             num_partitions=d["num_partitions"],
-            salt_factor=d.get("salt_factor", 1),
             watermark=d["watermark"],
             schema_b64=d.get("schema_b64"),
             schema_history=d.get("schema_history", []),

@@ -148,8 +148,7 @@ def run_bench() -> dict:
     # one-time bootstrap, timed separately).  The log is key-partitioned
     # (sharded WAL), so the partition-aligned path applies: zero exchange,
     # one task per partition, every byte moves once.  Equivalence with the
-    # shuffled and actor-scatter paths is pytest-verified; their timings on
-    # the same input are recorded in BASELINE.md.
+    # keyed-exchange path (apply_log) is pytest-verified.
     repeats = int(os.environ.get("BENCH_REPEATS", "2"))
     best_headline, best_snap, applied = None, None, 0
     for r in range(repeats):  # min-of-N hedges this host's 3-10x steal swings
@@ -167,19 +166,6 @@ def run_bench() -> dict:
     headline = best_headline
     timings["snapshot"] = round(best_snap, 3)
     timings["cdc_replay"] = round(headline, 3)
-
-    if os.environ.get("BENCH_ALT") == "1":  # alternative exchanges, same input
-        for name, cfg in (
-            ("cdc_replay_scatter", ReplayConfig(NUM_PARTS, exchange="actors", num_appliers=16)),
-            ("cdc_replay_shuffle", ReplayConfig(NUM_PARTS)),
-        ):
-            d = os.path.join(BENCH_ROOT, f"lake_{name}_{NUM_CPUS}")
-            shutil.rmtree(d, ignore_errors=True)
-            alt = LakeTable(d, cfg)
-            alt.init_snapshot(ray.data.read_parquet(base_path))
-            ta = time.perf_counter()
-            alt.apply_log(ev_dir)
-            timings[name] = round(time.perf_counter() - ta, 3)
 
     # ---- operator pipelines over the sf dir ----
     # min-of-N per query, same hedge as the headline: this host's steal

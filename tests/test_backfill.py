@@ -53,7 +53,7 @@ def _setup(tmp_path, n_events=1500, seed=11):
     wal = str(tmp_path / "wal.parquet")
     pq.write_table(ev, wal)
     lake = LakeTable(str(tmp_path / "lake"),
-                     ReplayConfig(num_partitions=4, salt_factor=2))
+                     ReplayConfig(num_partitions=4))
     return base, ev, wal, lake
 
 
@@ -88,7 +88,7 @@ def test_backfill_interleaved_with_growing_wal(tmp_path):
     wal_dir.mkdir()
     pq.write_table(_filter_lsn(ev, -1, cuts[0]), str(wal_dir / "e0.parquet"))
     lake = LakeTable(str(tmp_path / "lake"),
-                     ReplayConfig(num_partitions=4, salt_factor=2))
+                     ReplayConfig(num_partitions=4))
     reader = _chunk_reader(base, ev, lake)
     for i in range(3):
         backfill_chunk(lake, str(wal_dir),
@@ -108,7 +108,7 @@ def test_deleted_key_never_resurrects(tmp_path):
     wal = str(tmp_path / "wal.parquet")
     pq.write_table(ev, wal)
     lake = LakeTable(str(tmp_path / "lake"),
-                     ReplayConfig(num_partitions=4, salt_factor=2))
+                     ReplayConfig(num_partitions=4))
     incremental_snapshot(lake, wal, _chunk_reader(base, ev, lake), BOUNDS)
     final = lake.to_table()
     oracle = replay_oracle(base, [ev])
@@ -183,7 +183,7 @@ def test_backfill_property_any_chunking_any_interleave_converges(
     wal_dir.mkdir()
     pq.write_table(_filter_lsn(ev, -1, grow[0]), str(wal_dir / "e0.parquet"))
     lake = LakeTable(str(tmp_path / "lake"),
-                     ReplayConfig(num_partitions=4, salt_factor=2))
+                     ReplayConfig(num_partitions=4))
     reader = _chunk_reader(base, ev, lake)
     for i in range(n_chunks):
         backfill_chunk(lake, str(wal_dir), reader(bounds[i], bounds[i + 1]))

@@ -60,8 +60,7 @@ def test_sync_shared_single_pass_and_divergent_watermarks(tmp_path, monkeypatch)
     """The shared-WAL sync scans the WAL ONCE regardless of stream count
     (round-2 judge finding: the old loop re-read it per stream), and
     per-stream watermarks that diverge (one stream pre-synced ahead) still
-    yield exactly the oracle state for every stream — including with a
-    salted replay config."""
+    yield exactly the oracle state for every stream."""
     import pyarrow as pa
 
     from airbyte_ray.pipelines import catalog_sync as cs
@@ -83,8 +82,7 @@ def test_sync_shared_single_pass_and_divergent_watermarks(tmp_path, monkeypatch)
 
     cfgs = [
         CdcStreamConfig(n, str(lp),
-                        replay=ReplayConfig(num_partitions=4,
-                                            salt_factor=2 if n == "b" else 1))
+                        replay=ReplayConfig(num_partitions=4))
         for n in ev
     ]
     eng = CdcCatalogEngine(str(tmp_path / "root"), cfgs)

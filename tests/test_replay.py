@@ -40,7 +40,7 @@ def _assert_matches_oracle(lake: LakeTable, base, event_tables):
 
 def test_snapshot_then_replay(fixtures):
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=8, salt_factor=2))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=8))
     lake.init_snapshot(ray.data.from_arrow(base))
     _assert_matches_oracle(lake, base, [])
 
@@ -60,7 +60,7 @@ def test_redelivery_noop(fixtures):
     """Re-applying the same log is a no-op (exactly-once from at-least-once,
     F6.5 — the monotonic watermark guard)."""
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(ev_path)
     before = lake.to_table()
@@ -71,13 +71,13 @@ def test_redelivery_noop(fixtures):
 
 def test_chunked_replay_matches_single_shot(fixtures, tmp_path):
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=2))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     stats = lake.apply_chunked(ev_path, chunk_lsns=800)
     assert len(stats) >= 2  # genuinely multiple checkpointed windows
     _assert_matches_oracle(lake, base, [events])
 
-    single = LakeTable(str(tmp_path / "lake2"), ReplayConfig(num_partitions=4, salt_factor=2))
+    single = LakeTable(str(tmp_path / "lake2"), ReplayConfig(num_partitions=4))
     single.init_snapshot(ray.data.from_arrow(base))
     single.apply_log(ev_path)
     assert single.to_table().equals(lake.to_table())
@@ -98,7 +98,7 @@ def test_delta_mode_matches_full_merge(fixtures, tmp_path):
     pq.write_table(e1, p1)
     pq.write_table(e2, p2)
 
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     s1 = lake.apply_log(str(p1), delta=True)
     s2 = lake.apply_log(str(p2), delta=True)
@@ -131,7 +131,7 @@ def test_bootstrap_fast_path_used_and_correct(fixtures):
     """Empty-lake init_snapshot takes the zero-exchange path (multi-file
     base partitions) and matches the oracle byte-exactly."""
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     st = lake.init_snapshot(ray.data.from_arrow(base))
     assert st["applied_events"] == N_BASE
     m = Manifest.load(lake_dir)
@@ -160,7 +160,7 @@ def test_chunked_replay_survives_lsn_gap(fixtures, tmp_path):
     gp = tmp_path / "gapped.parquet"
     pq.write_table(gapped, gp)
 
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     stats = lake.apply_chunked(str(gp), chunk_lsns=800)  # gap >> chunk
     assert sum(s["applied_events"] for s in stats) > 0
@@ -169,7 +169,7 @@ def test_chunked_replay_survives_lsn_gap(fixtures, tmp_path):
 
 def test_lineage_invariants(fixtures):
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=8, salt_factor=2))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=8))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(ev_path)
     m = Manifest.load(lake_dir)
@@ -191,7 +191,7 @@ def test_resume_after_crash_before_commit(fixtures):
     """Kill/restart (F4): segments written but manifest not committed →
     resume re-applies from the committed watermark; identical final table."""
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=2))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     saved = Manifest.load(lake_dir)  # snapshot-only manifest
 
@@ -211,7 +211,7 @@ def test_resume_after_crash_delta_mode(fixtures):
     invisible (manifest-only visibility), the resumed apply rewrites the
     same deterministic path, and the final table matches byte-exactly."""
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(ev_path)  # establish a base so deltas layer
     saved = Manifest.load(lake_dir)
@@ -230,109 +230,6 @@ def test_resume_after_crash_delta_mode(fixtures):
     resumed.apply_log(p2, delta=True)
     assert resumed.to_table().equals(done)
     _assert_matches_oracle(resumed, base, [events, ev2])
-
-
-def test_actor_exchange_matches_shuffle(fixtures, tmp_path):
-    """exchange='actors' (merge-applier scatter) produces the identical
-    committed table as the groupby-shuffle path."""
-    base, events, ev_path, lake_dir = fixtures
-    a = LakeTable(str(tmp_path / "lake_a"),
-                  ReplayConfig(num_partitions=8, exchange="actors", num_appliers=4))
-    a.init_snapshot(ray.data.from_arrow(base))
-    a.apply_log(ev_path)
-
-    b = LakeTable(str(tmp_path / "lake_b"), ReplayConfig(num_partitions=8))
-    b.init_snapshot(ray.data.from_arrow(base))
-    b.apply_log(ev_path)
-    assert a.to_table().equals(b.to_table())
-    assert a.to_table().equals(replay_oracle(base, [events]))
-
-
-def test_actor_exchange_spill_pointer_state(fixtures, tmp_path):
-    """spill_bytes forces the applier's COMPACTED per-partition buffers to
-    disk (pointer-only dict state — the 100-TB memory contract): with an
-    artificially tiny budget (1 KiB, so every compaction spills) plus a
-    tiny compact_rows (so compaction fires per sub-batch), the committed
-    table must still be byte-identical to the shuffle path, and no spill
-    scratch may survive the flush."""
-    import glob
-    import os
-
-    base, events, ev_path, lake_dir = fixtures
-    a = LakeTable(str(tmp_path / "lake_spill"),
-                  ReplayConfig(num_partitions=8, exchange="actors",
-                               num_appliers=2, compact_rows=16,
-                               spill_bytes=1024))
-    a.init_snapshot(ray.data.from_arrow(base))
-    stats = a.apply_log(ev_path)
-    assert stats["applied_events"] == events.num_rows
-    assert a.to_table().equals(replay_oracle(base, [events]))
-    # spill chunks are scratch: flush must have removed them
-    leftovers = glob.glob(os.path.join(str(tmp_path / "lake_spill"),
-                                       "_spill", "*", "part=*", "*"))
-    assert leftovers == []
-    # second epoch through the same spill-constrained lake stays exact
-    ev2 = gen.gen_events(800, 120, seed=77, start_lsn=gen.next_lsn(events))
-    p2 = str(tmp_path / "ev2_spill.parquet")
-    pq.write_table(ev2, p2)
-    a.apply_log(p2)
-    assert a.to_table().equals(replay_oracle(base, [events, ev2]))
-
-
-def test_spill_pointer_unit_mechanics(tmp_path):
-    """Drive the plain applier class (MergeApplierState) directly: a tiny
-    spill budget must convert compacted buffers into on-disk pointer state
-    during ingest (dict holds (lsn, path, rows), not rows), and flush must
-    fold the spill chain back into a correct segment then delete it."""
-    import glob
-    import os
-
-    from airbyte_ray.pipelines.replay import (
-        _META_COLS,
-        MergeApplierState,
-        _pre_reduce,
-    )
-
-    events = gen.gen_events(600, 50, seed=5)
-    pre = _pre_reduce(events, num_partitions=4, salt_factor=1, policy=None)
-    payload = pa.schema([
-        f for f in pre.schema if f.name not in _META_COLS
-    ])
-    lake_dir = str(tmp_path / "lake_unit")
-    os.makedirs(lake_dir)
-    ctx = {
-        "lake_dir": lake_dir,
-        "policy": None,
-        "schema": payload.serialize().to_pybytes(),
-        "old_segments": {},
-        "delta_mode": False,
-        "run_lsn_hi": 1,
-    }
-    ap = MergeApplierState(list(range(4)), ctx, compact_rows=8, spill_bytes=256)
-    for p in range(4):
-        sub = pre.filter(pc.equal(pre["part"], p))
-        for i in range(0, sub.num_rows, 10):  # many small sub-batches
-            ap.ingest(sub.slice(i, 10), p)
-    n_spilled = sum(len(v) for v in ap.spilled.values())
-    assert n_spilled > 0, "tiny budget must force spills"
-    for ptrs in ap.spilled.values():
-        for ptr in ptrs:
-            assert os.path.exists(ptr["path"]) and ptr["rows"] > 0
-            assert ptr["lsn_hi"] > 0
-    # pointer state: resident rows stay under the compaction threshold
-    assert all(r <= 8 * 2 for r in ap.rows.values())
-
-    lineage = ap.flush()
-    assert sum(e["n_events"] for e in lineage) == events.num_rows
-    assert glob.glob(os.path.join(lake_dir, "_spill", "*", "part=*", "*")) == []
-    # committed segments carry exactly the live winners
-    segs = [pq.read_table(f) for f in
-            glob.glob(os.path.join(lake_dir, "part=*", "seg-*.parquet"))]
-    got = {d: l for t in segs
-           for d, l in zip(t["doc_id"].to_pylist(), t["_ab_lsn"].to_pylist())}
-    df = events.to_pandas().sort_values("lsn").groupby("doc_id").last()
-    live = df[df.op != "delete"]
-    assert got == dict(zip(live.index, live.lsn))
 
 
 def test_partition_aligned_apply(tmp_path):
@@ -447,7 +344,7 @@ def test_merge_policy_cursor_chain(tmp_path):
 
     lake = LakeTable(
         str(tmp_path / "lake"),
-        ReplayConfig(num_partitions=4, salt_factor=1,
+        ReplayConfig(num_partitions=4,
                      merge_policy=(("ts", "descending"), ("lsn", "descending"))),
     )
     lake.apply_log(str(p1))
@@ -487,7 +384,7 @@ def test_vacuum_guards_inflight_removes_superseded(fixtures):
     import os
 
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(ev_path)  # supersedes the bootstrap block files
 
@@ -520,7 +417,7 @@ def test_delta_then_full_apply_folds(fixtures, tmp_path):
     pq.write_table(e1, p1)
     pq.write_table(e2, p2)
 
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(str(p1), delta=True)
     lake.apply_log(str(p2), delta=False)  # full merge over layered deltas
@@ -543,7 +440,7 @@ def test_schema_evolution_under_delta_mode(fixtures, tmp_path):
     p2 = tmp_path / "v2.parquet"
     pq.write_table(ev2, p2)
 
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(ev_path, delta=True)
     lake.apply_log(str(p2), delta=True)  # schema evolves inside the delta chain
@@ -562,7 +459,7 @@ def test_legacy_single_path_manifest_loads(fixtures):
     import os as _os
 
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(ev_path)  # merges every partition to one segment file
     before = lake.to_table()
@@ -575,6 +472,7 @@ def test_legacy_single_path_manifest_loads(fixtures):
         assert len(paths) == 1
         v.pop("delta_paths")
         v["path"] = paths[0]  # the legacy single-file shape
+    d["salt_factor"] = 2  # dropped field: old lakes stored it, load ignores it
     with open(p, "w") as f:
         _json.dump(d, f)
 
@@ -588,7 +486,7 @@ def test_compact_reloads_committed_manifest(fixtures, tmp_path):
     discipline as vacuum): another process's newer commit would otherwise be
     clobbered and its segment files deleted (advice finding)."""
     base, events, ev_path, lake_dir = fixtures
-    writer = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    writer = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     writer.init_snapshot(ray.data.from_arrow(base))
     stale = LakeTable(lake_dir)  # snapshot-only view, now goes stale
 
@@ -616,7 +514,7 @@ def test_cli_apply_chunk_delta(fixtures, tmp_path, capsys):
     from airbyte_ray.cli import main as cli_main
 
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1))
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     rc = cli_main(["apply", "--lake", lake_dir, "--log", ev_path,
                    "--chunk", "800", "--delta"])
@@ -632,7 +530,7 @@ def test_auto_compaction_bounds_delta_chain(fixtures, tmp_path):
     automatically after the apply that crosses K, the logical table stays
     oracle-exact, and read task counts stay bounded."""
     base, events, ev_path, lake_dir = fixtures
-    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, salt_factor=1,
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4,
                                             auto_compact_deltas=2))
     lake.init_snapshot(ray.data.from_arrow(base))
 
@@ -657,10 +555,11 @@ def test_auto_compaction_bounds_delta_chain(fixtures, tmp_path):
 
 
 def test_spill_with_custom_policy_and_redelivery(tmp_path):
-    """Spill-pointer state composes with a pluggable merge policy (the
-    spill compaction and the flush fold both reduce under the SAME
-    comparator), and a full-log redelivery through a spill-constrained
-    lake stays a no-op (exactly-once)."""
+    """A pluggable merge policy through the keyed exchange (the per-batch
+    combiner and the partition merge both reduce under the SAME
+    comparator) matches the DuckDB window oracle, and a full-log
+    redelivery under that policy stays a no-op (exactly-once).  The name
+    predates the removal of the spilling actor exchange."""
     import duckdb
 
     rng = np.random.default_rng(21)
@@ -677,8 +576,7 @@ def test_spill_with_custom_policy_and_redelivery(tmp_path):
 
     lake = LakeTable(
         str(tmp_path / "lake_sp"),
-        ReplayConfig(num_partitions=4, exchange="actors", num_appliers=2,
-                     compact_rows=32, spill_bytes=1024,
+        ReplayConfig(num_partitions=4,
                      merge_policy=(("ts", "descending"), ("lsn", "descending"))),
     )
     lake.apply_log(str(p))

@@ -36,7 +36,7 @@ def test_unify_schemas_widening():
 
 def test_evolved_replay_matches_oracle(evolved):
     base, ev1, ev2, tmp = evolved
-    lake = LakeTable(str(tmp / "lake"), ReplayConfig(num_partitions=4, salt_factor=2))
+    lake = LakeTable(str(tmp / "lake"), ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log(str(tmp / "ev1.parquet"))
     lake.apply_log([str(tmp / "ev1.parquet"), str(tmp / "ev2.parquet")])
@@ -60,7 +60,7 @@ def test_evolved_replay_matches_oracle(evolved):
 def test_single_run_mixed_epochs(evolved):
     """Both epochs in one apply run (unified at read) — same final table."""
     base, ev1, ev2, tmp = evolved
-    lake = LakeTable(str(tmp / "lake_once"), ReplayConfig(num_partitions=4, salt_factor=2))
+    lake = LakeTable(str(tmp / "lake_once"), ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     lake.apply_log([str(tmp / "ev1.parquet"), str(tmp / "ev2.parquet")])
     assert lake.to_table().equals(replay_oracle(base, [ev1, ev2]))
