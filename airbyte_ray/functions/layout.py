@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import glob
 import os
+import uuid
 from functools import partial
 
 import numpy as np
@@ -59,7 +60,10 @@ def write_clustered(
     so each output file covers a disjoint ``col`` range and its parquet
     footer min/max is a tight zone-map entry.  ``num_files`` repartitions
     BEFORE the sort (the sort's range exchange re-balances; repartitioning
-    after it would destroy the clustered order)."""
+    after it would destroy the clustered order).  ``out_dir`` must hold no
+    parquet files yet: stale ones would join the zone map unnoticed."""
+    if os.path.isdir(out_dir) and _files(out_dir):
+        raise ValueError(f"write_clustered: {out_dir} already holds parquet files")
     if num_files is not None:
         ds = ds.repartition(num_files)
     ds.sort(col).write_parquet(out_dir)
@@ -250,11 +254,17 @@ def compact_clustered(
         groups[-1].append(f)
         acc += rows[f]
 
+    # a per-run token keeps every output name distinct from every input,
+    # earlier runs' outputs included: an output written over an input
+    # would be deleted with it
+    run = uuid.uuid4().hex[:12]
+
     def merge_one(fs: list[str], idx: int) -> str:
         t = pa.concat_tables([pq.read_table(f) for f in fs])
         t = t.take(pc.sort_indices(t[col]))
-        out = os.path.join(out_dir, f"compact-{idx:05d}.parquet")
-        pq.write_table(t, out)
+        out = os.path.join(out_dir, f"compact-{run}-{idx:05d}.parquet")
+        pq.write_table(t, out + ".tmp")
+        os.replace(out + ".tmp", out)
         for f in fs:
             os.remove(f)
             for side in glob.glob(f + ".bloom-*"):

@@ -213,7 +213,10 @@ def temperature_rates(
     rows = ds.select_columns(cols).groupby(strat_col).aggregate(agg).take_all()
     if not rows:
         return {}
-    sizes = {r[strat_col]: int(r["sz"]) for r in rows}
+    sizes = {r[strat_col]: int(r["sz"] or 0) for r in rows}
+    empty = sorted(str(s) for s, v in sizes.items() if v <= 0)
+    if empty:
+        raise ValueError(f"strata with size <= 0 have no rate: {empty}")
     mn = np.float64(float(min(sizes.values())))
     if temperature == 0.5:
         return {s: float(np.sqrt(mn / np.float64(float(v))))

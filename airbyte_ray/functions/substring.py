@@ -388,8 +388,10 @@ def remove_dup_token_spans(
         sp = _worker_state(("dup_tok_spans", sref.hex()),
                            lambda: ray.get(sref))
         lst = t[col].combine_chunks()
+        # a sliced list array keeps absolute offsets into its whole child
         offs = lst.offsets.to_numpy().astype(np.int64)
-        flat = lst.values
+        offs -= offs[0]
+        flat = lst.flatten()
         keep = np.ones(len(flat), bool)
         for i, d in enumerate(t[id_col].to_pylist()):
             for lo, hi in sp.get(d, ()):

@@ -599,25 +599,33 @@ class LakeTable:
         manifest commit per window (the CDC checkpoint-cadence analog,
         ``DebeziumStateDecoratingIterator.java:30-31``).  A killed run resumes
         from the last committed window."""
-        from ..sources.event_log import log_max_lsn
+        from ..sources.event_log import _expand, log_max_lsn
 
         top_ = log_max_lsn(paths)  # footer stats — no data scan
         if top_ is None or top_ <= self.manifest.watermark:
             return []
         top = int(top_)
-        stats: list[dict] = []
-        # Window off a LOCAL cursor, not the committed watermark: LSNs are
-        # monotonic with gaps (shared WAL, quiet periods), and an empty window
-        # leaves the watermark unchanged — looping on the watermark alone
-        # would spin forever on any gap wider than chunk_lsns.  Each window
-        # still reads `lsn > manifest.watermark`, so resume-after-crash
-        # re-scans at most one gap region (idempotent, metadata-cheap).
+        # Windows (cur + w*chunk_lsns, cur + (w+1)*chunk_lsns] are anchored
+        # at the starting watermark.  LSNs are monotonic with gaps (shared
+        # WAL, quiet periods), so one pass over the lsn column finds the
+        # windows that hold events and an empty window costs no apply.  Each
+        # apply still reads `lsn > manifest.watermark`, so a resumed run
+        # picks up after the last committed window.
         cur = self.manifest.watermark
-        while cur < top:
-            nxt = min(cur + chunk_lsns, top)
-            stats.append(self.apply_log(paths, max_lsn=nxt, delta=delta))
-            cur = nxt
-        return stats
+
+        def window_ids(t: pa.Table) -> pa.Table:
+            return pa.table({"w": np.unique((t["lsn"].to_numpy() - cur - 1) // chunk_lsns)})
+
+        lsns = ray.data.read_parquet(
+            _expand(paths), columns=["lsn"],
+            filter=pc.field("lsn") > pa.scalar(cur, pa.int64()),
+        )
+        ids = lsns.map_batches(window_ids, batch_format="pyarrow").take_all()
+        wins = sorted({r["w"] for r in ids})
+        return [
+            self.apply_log(paths, max_lsn=min(cur + (w + 1) * chunk_lsns, top), delta=delta)
+            for w in wins
+        ]
 
     def _apply_ds(
         self,
@@ -965,57 +973,33 @@ class LakeTable:
 
     def read(self, payload_only: bool = True) -> ray.data.Dataset:
         """The committed table as a Dataset (only manifest-visible segments).
-        Partitions carrying delta files resolve in per-partition tasks
-        (merge-on-read); delta-free partitions stream directly — base files
-        hold disjoint key sets, so plain concat is exact."""
+        One task per manifest partition reads the files the manifest lists
+        for it (no footer or discovery pass), LWW-resolves its delta files on
+        top when it has any (merge-on-read), and conforms the result to the
+        current schema, so segments written before a schema change read
+        correctly.  One block per partition, in ascending partition order."""
         m = self.manifest
         schema = m.schema
         if not m.partitions:
             return ray.data.from_arrow((schema or pa.schema([])).empty_table())
         seg_schema = _seg_schema_of(schema)
         target = schema if payload_only else seg_schema
-        plain = [e for e in m.partitions.values() if not e.delta_paths]
-        layered = [e for e in m.partitions.values() if e.delta_paths]
-        parts_ds = []
-        if plain:
-            from ..sources.event_log import read_parquet_conformed
+        lake_dir = self.lake_dir
 
-            # schema-group the base files: after schema evolution the
-            # UNTOUCHED partitions still hold old-schema segments, and one
-            # read_parquet over mixed schemas crashes on widened columns or
-            # silently drops added ones (review finding)
-            parts_ds.append(read_parquet_conformed(
-                [os.path.join(self.lake_dir, p) for e in plain for p in e.paths],
-                target=target,
-            ))
-        if layered:
-            lake_dir = self.lake_dir
-            schema_bytes = seg_schema.serialize().to_pybytes()
+        def resolve(batch: pa.Table) -> pa.Table:
+            (r,) = batch.to_pylist()
+            paths, deltas = (r[k].split("\n") if r[k] else [] for k in ("paths", "deltas"))
+            return conform_table(_resolve_partition(lake_dir, paths, deltas, seg_schema), target)
 
-            def resolve(batch: pa.Table) -> pa.Table:
-                seg = pa.ipc.read_schema(pa.BufferReader(schema_bytes))
-                outs = []
-                for r in batch.to_pylist():
-                    t = _resolve_partition(
-                        lake_dir, r["paths"].split("\n"),
-                        r["deltas"].split("\n"), seg
-                    )
-                    outs.append(conform_table(t, target))
-                return pa.concat_tables(outs) if outs else target.empty_table()
-
-            items = [
-                {"paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}
-                for e in layered
-            ]
-            parts_ds.append(
-                ray.data.from_items(items).map_batches(
-                    resolve, batch_format="pyarrow", batch_size=1
-                )
-            )
-        out = parts_ds[0]
-        for extra in parts_ds[1:]:
-            out = out.union(extra)
-        return out
+        items = [
+            {"paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}
+            for _, e in sorted(m.partitions.items())
+        ]
+        ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
+            resolve, batch_format="pyarrow", batch_size=1
+        )
+        ds.context.execution_options.preserve_order = True
+        return ds
 
     def to_table(self, payload_only: bool = True) -> pa.Table:
         """Small-result helper for tests: full table sorted by doc_id

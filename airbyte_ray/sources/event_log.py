@@ -144,29 +144,6 @@ def _schema_groups(files: list[str]) -> tuple[dict[bytes, list[str]], pa.Schema]
     return by_schema, schema
 
 
-def read_parquet_conformed(
-    files: list[str],
-    target: pa.Schema | None = None,
-    filter=None,
-) -> ray.data.Dataset:
-    """Read a mixed-schema parquet file set as ONE Dataset: group files by
-    identical footer schema (each read stays zero-surprise), conform every
-    batch to ``target`` (default: the unified schema), union.  A single
-    ``read_parquet`` over schema-evolved files lets the first fragment
-    dictate the schema — crashing on widened columns or silently dropping
-    added ones (review finding against ``LakeTable.read``)."""
-    by_schema, unified = _schema_groups(files)
-    target = target or unified
-    parts = []
-    for fs in by_schema.values():
-        ds = ray.data.read_parquet(fs, filter=filter, partitioning=None)
-        parts.append(ds.map_batches(partial(conform_table, schema=target), batch_format="pyarrow"))
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds
-
-
 def read_event_log_with_schema(
     paths: str | list[str],
     min_lsn: int = -1,

@@ -5,6 +5,8 @@ Prints ONE JSON line:
    "queries": {...per-pipeline sec...}, "sf": <sf>, "num_cpus": N,
    "events_per_sec": ...}
 
+N is ``RAY_GRAFT_CPUS``, by default ``os.cpu_count()``.
+
 ``--scaling``: runs the headline twice in fresh processes at
 RAY_GRAFT_CPUS ∈ {8, 32} on identical cached input and reports both
 throughputs + efficiency = (t8/t32)/4 (the N→4N cluster-scaling evidence).
@@ -25,7 +27,9 @@ import tempfile
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default to the host's CPUs: more logical CPUs than cores oversubscribes
+# and the timings stop being comparable; the JSON reports the value used
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or os.cpu_count() or 1)
 # parse the scale factor from the BASENAME only ('sf0.1' → '0.1'): an 'sf'
 # anywhere earlier in the path made float(SF) blow up AFTER the whole
 # benchmark had run (review finding).  An unparseable basename fails HERE,

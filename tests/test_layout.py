@@ -34,6 +34,9 @@ def test_clustered_zone_map_is_disjoint(tmp_path):
     files = write_clustered(ray.data.from_arrow(t), str(tmp_path), "v",
                             num_files=8)
     assert len(files) >= 4
+    # a directory that already holds parquet files is refused
+    with pytest.raises(ValueError, match="already holds parquet"):
+        write_clustered(ray.data.from_arrow(t), str(tmp_path), "v")
     zm = sorted(((mn, mx) for _, mn, mx in zone_map(files, "v")))
     for (mn, mx), (mn2, _) in zip(zm, zm[1:]):
         assert mn <= mx < mn2  # disjoint, ordered ranges
@@ -193,6 +196,12 @@ def test_compact_clustered_preserves_order_and_rows(tmp_path):
     # pruning still works at the same selectivity
     probed = range_probed_files(out, "v", 100.0, 500.0)
     assert 0 < len(probed) < len(out)
+    # a second compaction merges groups made of the first run's outputs:
+    # no output may land on an input's name and be deleted with it
+    again = compact_clustered(str(tmp_path), "v", target_rows=2500)
+    assert len(again) < len(out)
+    assert not set(again) & set(out)
+    assert _tbl(read_range(again, "v", 0.0, 4000.0)).sort_by("k").equals(before)
 
 
 def test_compact_clustered_drops_stale_sidecars(tmp_path):

@@ -353,6 +353,11 @@ def test_temperature_rates_extremes_and_validation():
     assert r0 == {"a": pytest.approx(4 / 64), "b": 1.0}
     with pytest.raises(ValueError):
         temperature_rates(ds, temperature=1.5)
+    # a stratum whose size column sums to 0 would give an inf/NaN rate
+    zero = t.set_column(2, "n_chars", pc.if_else(
+        pc.equal(t["source"], "b"), 0, t["n_chars"]))
+    with pytest.raises(ValueError, match="size <= 0"):
+        temperature_rates(ray.data.from_arrow(zero), size_col="n_chars")
 
 
 def test_temperature_mix_deterministic_and_matches_manual_rule():

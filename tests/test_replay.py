@@ -13,7 +13,7 @@ import ray.data
 
 from airbyte_ray import gen
 from airbyte_ray.oracle import replay_oracle
-from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig
+from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig, stable_hash
 from airbyte_ray.state.manifest import Manifest
 
 N_BASE = 300
@@ -36,6 +36,22 @@ def _assert_matches_oracle(lake: LakeTable, base, event_tables):
     assert actual.num_rows == expected.num_rows
     # byte-exact token equality per doc_id (the BASELINE correctness gate)
     assert actual.equals(expected)
+
+
+def _assert_read_matches_table(lake: LakeTable, payload_only: bool = True):
+    """``read()`` returns ``to_table()``'s rows as one block per manifest
+    partition, in ascending partition order."""
+    ds = lake.read(payload_only).materialize()
+    parts = sorted(lake.manifest.partitions)
+    assert ds.num_blocks() == len(parts)
+    n = np.uint64(lake.manifest.num_partitions)
+    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+    for part, b in zip(parts, blocks):
+        assert ((stable_hash(b["doc_id"]) % n).astype(np.int64) == part).all()
+    expected = lake.to_table(payload_only)
+    via_ds = pa.concat_tables(blocks)
+    via_ds = via_ds.take(pc.sort_indices(via_ds, sort_keys=[("doc_id", "ascending")]))
+    assert via_ds.equals(expected)
 
 
 def test_snapshot_then_replay(fixtures):
@@ -100,16 +116,18 @@ def test_delta_mode_matches_full_merge(fixtures, tmp_path):
 
     lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
+    # freshly bootstrapped: multi-file base partitions, no deltas yet
+    assert any(len(e.paths) > 1 for e in lake.manifest.partitions.values())
+    _assert_read_matches_table(lake)
     s1 = lake.apply_log(str(p1), delta=True)
     s2 = lake.apply_log(str(p2), delta=True)
     assert s1["applied_events"] > 0 and s2["applied_events"] > 0
     m = Manifest.load(lake_dir)
     assert any(e.delta_paths for e in m.partitions.values())  # deltas really layered
     _assert_matches_oracle(lake, base, [events])
-    # Dataset read path resolves deltas too
-    via_ds = pa.Table.from_pylist(lake.read().take_all(), schema=lake.manifest.schema)
-    via_ds = via_ds.take(pc.sort_indices(via_ds, sort_keys=[("doc_id", "ascending")]))
-    assert via_ds.equals(lake.to_table())
+    # Dataset read path resolves deltas too, with or without the lsn columns
+    _assert_read_matches_table(lake)
+    _assert_read_matches_table(lake, payload_only=False)
 
     # compaction: same logical table, single file per partition, files GC'd
     before = lake.to_table()
@@ -145,8 +163,8 @@ def test_bootstrap_fast_path_used_and_correct(fixtures):
 
 def test_chunked_replay_survives_lsn_gap(fixtures, tmp_path):
     """A WAL gap wider than chunk_lsns (quiet period / shared log) must not
-    hang the checkpointed loop: empty windows advance the local cursor even
-    though the committed watermark is unchanged."""
+    hang the checkpointed loop: windows holding no events are skipped, not
+    applied one empty window at a time."""
     base, events, ev_path, lake_dir = fixtures
     # shift the second half of the log past a gap of 50_000 LSNs
     lsn = events["lsn"].to_numpy()
@@ -164,6 +182,9 @@ def test_chunked_replay_survives_lsn_gap(fixtures, tmp_path):
     lake.init_snapshot(ray.data.from_arrow(base))
     stats = lake.apply_chunked(str(gp), chunk_lsns=800)  # gap >> chunk
     assert sum(s["applied_events"] for s in stats) > 0
+    # the ~62 windows inside the gap cost no apply
+    assert len(stats) < 50_000 // 800
+    assert all(s["applied_events"] > 0 for s in stats)
     _assert_matches_oracle(lake, base, [gapped])
 
 

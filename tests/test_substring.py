@@ -232,3 +232,14 @@ def test_remove_token_spans_rewrites_tokens_and_n_tok():
     # surviving tokens are the exact complement of the span
     assert out["t1"][0] == orig["t1"][:25]
     assert out["t3"][0] == orig["t3"][60:]
+    # a zero-copy sliced block (list offsets not starting at 0) rewrites
+    # exactly like the unsliced one
+    pad = _tok_docs().slice(0, 2).set_column(
+        0, "doc_id", pa.array(["pad0", "pad1"]))
+    padded = pa.concat_tables([pad, t]).combine_chunks()
+    # slice inside the task: the object store would rebase a sliced table
+    sliced = ray.data.from_arrow(padded).map_batches(
+        lambda b: b.slice(2), batch_format="pyarrow")
+    got = {r["doc_id"]: (r["tokens"], r["n_tok"]) for r in
+           remove_dup_token_spans(sliced, k=50).take_all()}
+    assert got == out
