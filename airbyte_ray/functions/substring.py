@@ -220,13 +220,34 @@ def remove_dup_substrings(
     spans are O(duplicated regions), orders of magnitude below the
     corpus; a span table above ``span_cap_rows`` raises loudly rather
     than silently materializing driver state (pre-shard the corpus or
-    raise the cap explicitly).  The rewrite data path is vectorized
-    (one flattened keep-mask per batch, offsets rebuilt by cumsum,
-    words rejoined with ``binary_join``); the only per-row work is a
-    dict lookup to stamp each doc's spans into the mask."""
+    raise the cap explicitly).  The rewrite is vectorized (one flattened
+    keep-mask per batch, see :func:`_cut_spans`; words rejoined with
+    ``binary_join``)."""
     spans = dup_substring_spans(
         ds, k=k, col=col, id_col=id_col, min_docs=min_docs,
         num_partitions=num_partitions, scope=scope)
+
+    def put(t: pa.Table, lst: pa.ListArray, n_kept: np.ndarray) -> pa.Table:
+        return t.set_column(t.schema.get_field_index(col), col,
+                            pc.binary_join(lst, " "))
+
+    return _cut_spans(
+        ds, spans, id_col, span_cap_rows,
+        lambda t: pc.split_pattern(t[col].cast(pa.string()), " ").combine_chunks(),
+        put)
+
+
+def _cut_spans(ds: ray.data.Dataset, spans: ray.data.Dataset, id_col: str,
+               span_cap_rows: int, split, put) -> ray.data.Dataset:
+    """The rewrite behind both ``remove_*`` ops: cut every span
+    ``[span_start, span_end]`` (1-based inclusive) out of its document's
+    list.  The span table is broadcast once as Arrow arrays; a table above
+    ``span_cap_rows`` raises.  Per batch, ``split(t)`` gives each row's
+    list, ``pc.index_in`` maps each span to its row (one vectorized probe
+    of the whole span table per batch), and a difference array + ``cumsum``
+    builds the flat keep mask — no per-row Python.
+    ``put(t, lst, n_kept)`` writes the cut lists and their lengths back."""
+    spans = spans.materialize()  # blocks stay in the object store
     n_spans = spans.count()
     if n_spans > span_cap_rows:
         raise ValueError(
@@ -234,34 +255,32 @@ def remove_dup_substrings(
             f"{span_cap_rows}; the broadcast-rewrite contract needs a "
             "small span table — raise the cap explicitly or shard the "
             "corpus")
-    by_doc: dict = {}
-    for r in spans.take_all():  # bounded by the cap above
-        by_doc.setdefault(r[id_col], []).append(
-            (int(r["span_start"]), int(r["span_end"])))
-    sref = ray.put(by_doc)
+    blocks = [b.select([id_col, "span_start", "span_end"])
+              for b in ray.get(spans.to_arrow_refs()) if b.num_rows]
+    sref = ray.put(pa.concat_tables(blocks) if blocks else None)
 
     def rewrite(t: pa.Table) -> pa.Table:
         from ..config import _worker_state
 
         sp = _worker_state(("dup_spans", sref.hex()), lambda: ray.get(sref))
-        words = pc.split_pattern(
-            t[col].cast(pa.string()), " ").combine_chunks()
-        offs = words.offsets.to_numpy().astype(np.int64)
-        flat = words.values
-        keep = np.ones(len(flat), bool)
-        ids = t[id_col].to_pylist()
-        for i, d in enumerate(ids):
-            for lo, hi in sp.get(d, ()):
-                keep[offs[i] + lo - 1: offs[i] + hi] = False
+        lst = split(t)
+        # a sliced list array keeps absolute offsets into its whole child
+        offs = lst.offsets.to_numpy().astype(np.int64)
+        offs -= offs[0]
+        flat = lst.flatten()
+        diff = np.zeros(len(flat) + 1, np.int64)
+        if sp is not None:
+            row = pc.index_in(sp[id_col], value_set=t[id_col].combine_chunks())
+            on = pc.is_valid(row)
+            lo = offs[row.filter(on).to_numpy()]
+            np.add.at(diff, lo + sp["span_start"].filter(on).to_numpy() - 1, 1)
+            np.add.at(diff, lo + sp["span_end"].filter(on).to_numpy(), -1)
+        keep = np.cumsum(diff[:-1]) == 0
         cs = np.concatenate([[0], np.cumsum(keep.astype(np.int64))])
-        kept_per_doc = cs[offs[1:]] - cs[offs[:-1]]
-        new_offs = np.concatenate([[0], np.cumsum(kept_per_doc)])
-        lst = pa.ListArray.from_arrays(
-            pa.array(new_offs.astype(np.int32)),
-            flat.filter(pa.array(keep)))
-        joined = pc.binary_join(lst, " ")
-        i_col = t.schema.get_field_index(col)
-        return t.set_column(i_col, col, joined)
+        n_kept = cs[offs[1:]] - cs[offs[:-1]]
+        new_offs = np.concatenate([[0], np.cumsum(n_kept)])
+        return put(t, pa.ListArray.from_arrays(
+            pa.array(new_offs.astype(np.int32)), flat.filter(pa.array(keep))), n_kept)
 
     return ds.map_batches(rewrite, batch_format="pyarrow")
 
@@ -369,44 +388,13 @@ def remove_dup_token_spans(
     spans = dup_token_spans(
         ds, k=k, col=col, id_col=id_col, min_docs=min_docs,
         num_partitions=num_partitions, scope=scope)
-    n_spans = spans.count()
-    if n_spans > span_cap_rows:
-        raise ValueError(
-            f"{n_spans} duplicated spans exceed span_cap_rows="
-            f"{span_cap_rows}; the broadcast-rewrite contract needs a "
-            "small span table — raise the cap explicitly or shard the "
-            "corpus")
-    by_doc: dict = {}
-    for r in spans.take_all():  # bounded by the cap above
-        by_doc.setdefault(r[id_col], []).append(
-            (int(r["span_start"]), int(r["span_end"])))
-    sref = ray.put(by_doc)
 
-    def rewrite(t: pa.Table) -> pa.Table:
-        from ..config import _worker_state
-
-        sp = _worker_state(("dup_tok_spans", sref.hex()),
-                           lambda: ray.get(sref))
-        lst = t[col].combine_chunks()
-        # a sliced list array keeps absolute offsets into its whole child
-        offs = lst.offsets.to_numpy().astype(np.int64)
-        offs -= offs[0]
-        flat = lst.flatten()
-        keep = np.ones(len(flat), bool)
-        for i, d in enumerate(t[id_col].to_pylist()):
-            for lo, hi in sp.get(d, ()):
-                keep[offs[i] + lo - 1: offs[i] + hi] = False
-        cs = np.concatenate([[0], np.cumsum(keep.astype(np.int64))])
-        kept_per_doc = cs[offs[1:]] - cs[offs[:-1]]
-        new_offs = np.concatenate([[0], np.cumsum(kept_per_doc)])
-        new_lst = pa.ListArray.from_arrays(
-            pa.array(new_offs.astype(np.int32)),
-            flat.filter(pa.array(keep)))
-        t = t.set_column(t.schema.get_field_index(col), col, new_lst)
+    def put(t: pa.Table, lst: pa.ListArray, n_kept: np.ndarray) -> pa.Table:
+        t = t.set_column(t.schema.get_field_index(col), col, lst)
         if n_tok_col and n_tok_col in t.schema.names:
-            t = t.set_column(
-                t.schema.get_field_index(n_tok_col), n_tok_col,
-                pa.array(kept_per_doc.astype(np.int32)))
+            t = t.set_column(t.schema.get_field_index(n_tok_col), n_tok_col,
+                             pa.array(n_kept.astype(np.int32)))
         return t
 
-    return ds.map_batches(rewrite, batch_format="pyarrow")
+    return _cut_spans(ds, spans, id_col, span_cap_rows,
+                      lambda t: t[col].combine_chunks(), put)

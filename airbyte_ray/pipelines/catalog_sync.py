@@ -230,7 +230,7 @@ class CdcCatalogEngine:
 
         def merge_multi(g: pa.Table) -> pa.Table:
             i = int(g["stream_idx"][0].as_py())
-            lineage = _merge_partition(g.drop_columns(["stream_idx"]), ctxs[names[i]])
+            lineage = _merge_partition(g, int(g["part"][0].as_py()), ctxs[names[i]])
             return lineage.append_column(
                 "stream_name", pa.array([names[i]] * lineage.num_rows)
             )

@@ -8,9 +8,18 @@ dedup of identical redeliveries) as an idiomatic Ray Data plan:
     read_event_log(lsn > watermark)                 # predicate pushdown
       → map_batches(_pre_reduce, pyarrow)           # per-batch LWW combiner
                                                     #   + partition key
-      → groupby(part).map_groups(_merge_partition)  # LWW reduce, merge with
-                                                    #   old segment, write
+      → groupby(part).map_groups(_merge_partition)  # the merge kernel: LWW
+                                                    #   winners + old segment,
+                                                    #   one gather, write
       → lineage rows (P small rows) → manifest.commit()
+
+``apply_partitioned`` (key-partitioned input) runs the same kernel on each
+shard's raw events with no exchange, and ``CdcCatalogEngine.sync_shared``
+runs it per (stream, partition).  The kernel writes both modes: the full
+rewrite (copy-on-write) and a delta file resolved at read (merge-on-read).
+The winner rule lives in one place — ``_policy_order`` ranks rows,
+``_first_per_key`` takes each key's first — shared by the combiner
+(``lww_reduce``), the kernel and merge-on-read (``_resolve_partition``).
 
 Why this shape at 100 TB:
 
@@ -77,15 +86,37 @@ def stable_hash(ids: pa.ChunkedArray | pa.Array | np.ndarray) -> np.ndarray:
 DEFAULT_POLICY: tuple = (("lsn", "descending"),)
 
 
+def _policy_order(t: pa.Table, policy: tuple | None) -> np.ndarray:
+    """Row indices of ``t`` ranked best-first under ``policy`` — an ordered
+    ``((col, direction), …)`` comparator chain (default: max lsn).  A
+    trailing ``("lsn", "descending")`` tiebreaker is appended when absent so
+    the ranking is total (identical redeliveries still collapse)."""
+    policy = tuple(policy) if policy else DEFAULT_POLICY
+    if not any(c == "lsn" for c, _ in policy):
+        policy = policy + (("lsn", "descending"),)
+    if len(policy) == 1:
+        order = pc.array_sort_indices(t[policy[0][0]], order=policy[0][1])
+    else:
+        order = pc.sort_indices(t, sort_keys=list(policy))
+    return order.to_numpy().astype(np.int64)
+
+
+def _first_per_key(ids: np.ndarray, order: np.ndarray):
+    """The winner per key: its first row in ranked ``order``.  Returns the
+    winner indices (in rank order), the key code of each ranked row
+    ``ids[order]`` and the first-occurrence mask over the ranked rows (the
+    per-key folds of :func:`lww_reduce` group by those codes)."""
+    inv, _ = pd.factorize(ids[order], sort=False)
+    first = ~pd.Index(inv).duplicated(keep="first")
+    return order[first], inv, first
+
+
 def lww_reduce(t: pa.Table, policy: tuple | None = None) -> pa.Table:
     """Vectorized last-writer-wins: keep the winning row per doc_id under
-    ``policy`` — an ordered ``((col, direction), …)`` comparator chain, the
-    reference's ``row_number() over (order by cursor desc,
-    _ab_cdc_updated_at desc, log_pos desc) = 1`` window
-    (stream_processor.py:750-805, 884-898).  Default: max lsn.
+    ``policy`` (see :func:`_policy_order`), the reference's ``row_number()
+    over (order by cursor desc, _ab_cdc_updated_at desc, log_pos desc) = 1``
+    window (stream_processor.py:750-805, 884-898).  Default: max lsn.
 
-    A trailing ``("lsn", "descending")`` tiebreaker is appended when absent
-    so the winner is total-ordered (identical redeliveries still collapse).
     If an ``n_src`` column is present it is summed per key (applied-event
     lineage count); if an ``lsn_seen`` column is present it is max-folded
     per key — under a CUSTOM policy the winner's lsn can be lower than a
@@ -93,19 +124,10 @@ def lww_reduce(t: pa.Table, policy: tuple | None = None) -> pa.Table:
     permanently re-read those losers (review finding)."""
     if t.num_rows == 0:
         return t
-    policy = tuple(policy) if policy else DEFAULT_POLICY
-    if not any(c == "lsn" for c, _ in policy):
-        policy = policy + (("lsn", "descending"),)
-    # single-take plan: argsort by the policy chain → first occurrence per
-    # key in that order → ONE gather of survivors (no full sorted copy)
-    if len(policy) == 1:
-        order = pc.array_sort_indices(t[policy[0][0]], order=policy[0][1]).to_numpy()
-    else:
-        order = pc.sort_indices(t, sort_keys=list(policy)).to_numpy()
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    inv, _ = pd.factorize(ids[order], sort=False)
-    first = ~pd.Index(inv).duplicated(keep="first")
-    keep_idx = order[first]
+    # single-take plan: rank → first occurrence per key → ONE gather of
+    # survivors (no full sorted copy)
+    order = _policy_order(t, policy)
+    keep_idx, inv, first = _first_per_key(t["doc_id"].to_numpy(zero_copy_only=False), order)
     folds = []
     if "n_src" in t.schema.names:
         sums = np.bincount(inv, weights=t["n_src"].to_numpy()[order].astype(np.float64))
@@ -167,9 +189,7 @@ def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
     # LWW by _ab_lsn per doc_id (lsns are disjoint across files — strictly
     # increasing per apply), then drop shadowed tombstones
     order = pc.array_sort_indices(allt[LSN_COL], order="descending").to_numpy()
-    ids = allt["doc_id"].to_numpy(zero_copy_only=False)
-    inv, _ = pd.factorize(ids[order], sort=False)
-    keep_idx = order[~pd.Index(inv).duplicated(keep="first")]
+    keep_idx, _, _ = _first_per_key(allt["doc_id"].to_numpy(zero_copy_only=False), order)
     live = allt.take(pa.array(keep_idx))
     live = live.filter(pc.invert(pc.fill_null(live[DELETED_COL], False)))
     return live.drop_columns([DELETED_COL])
@@ -223,188 +243,93 @@ def _check_aligned(ids, part: int, num_partitions: int) -> None:
         )
 
 
-def _merge_partition(group: pa.Table, ctx: dict) -> pa.Table:
-    """LWW-reduce + merge one hash partition; write its new segment (or, in
-    delta mode, only this run's changes as a delta file); return a one-row
-    lineage table.  Runs as a stateless Ray task per partition: after the
-    keyed exchange (``apply_log``) or on one aligned shard
-    (``apply_partitioned``)."""
+def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
+    """The merge kernel: apply one hash partition's change events ``t`` and
+    write its new segment — the full rewrite (copy-on-write) or, in delta
+    mode over an existing base, only this run's winners as a delta file
+    resolved at read (merge-on-read).  Returns a one-row lineage table.
+    Runs as a stateless Ray task per partition, on raw events
+    (``apply_partitioned``) or on combiner output (``apply_log``,
+    ``sync_shared`` — ``n_src``/``lsn_seen`` columns carry what the
+    combiner folded away).
+
+    Winners are picked as INDICES; the payload moves through exactly ONE
+    ``take``.  Full write: the kept old rows and the live winners are
+    composed into one index array over a zero-copy concat of (old segment,
+    schema-lifted events), sorted by doc_id.  A delta write never reads
+    the old partition (O(delta) apply cost)."""
     policy = tuple(map(tuple, ctx["policy"])) if ctx.get("policy") else None
-    # the partition-aligned shard path reduces the complete partition
-    # in-task just before calling — don't pay the (idempotent) reduce twice
-    t = group if ctx.get("pre_reduced") else lww_reduce(group, policy)
-    part = int(t["part"][0].as_py())
-    out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
-    seg_schema = _seg_schema_of(out_schema)
-
-    lsn_lo = int(pc.min(t["lsn"]).as_py())
-    # watermark from lsn_seen (max lsn CONSUMED incl. policy losers) — the
-    # survivors' max stalled the watermark under custom policies whenever a
-    # high-lsn event lost the comparator (review finding)
-    lsn_hi = int(pc.max(t["lsn_seen"]).as_py()) if "lsn_seen" in t.schema.names \
-        else int(pc.max(t["lsn"]).as_py())
-    n_events = int(pc.sum(t["n_src"]).as_py()) if "n_src" in t.schema.names else t.num_rows
-
-    old_entry = ctx["old_segments"].get(part)
-    old_resolved = None  # resolved at most ONCE per task (review finding)
-    if policy:
-        # custom comparator: an OLD row may beat an incoming change (e.g.
-        # out-of-order cursor updates under `cursor desc, lsn desc`), so the
-        # touched old rows are lifted back into event space (lsn=_ab_lsn,
-        # op='update', n_src=0) and the policy decides the winner —
-        # the reference's whole-raw-table dedup window semantics.
-        if old_entry is not None:
-            old_resolved = _resolve_partition(
-                ctx["lake_dir"], old_entry["paths"], old_entry["deltas"], seg_schema
-            )
-            old = old_resolved
-            touched_mask = pc.is_in(old["doc_id"], value_set=t["doc_id"].combine_chunks())
-            touched = old.filter(touched_mask)
-            if touched.num_rows:
-                lifted = conform_table(touched, out_schema)
-                lifted = lifted.append_column("lsn", touched[LSN_COL])
-                lifted = lifted.append_column(
-                    "op", pa.array(["update"] * touched.num_rows)
-                )
-                if CDC_UPDATED_AT in t.schema.names and CDC_UPDATED_AT not in lifted.schema.names:
-                    lifted = lifted.append_column(
-                        CDC_UPDATED_AT, touched[CDC_UPDATED_AT]
-                    )
-                if "n_src" in t.schema.names:
-                    lifted = lifted.append_column(
-                        "n_src", pa.array(np.zeros(touched.num_rows, np.int64))
-                    )
-                if "lsn_seen" in t.schema.names:
-                    # explicit (not null-filled by conform): the max-fold in
-                    # lww_reduce needs a null-free int64 column
-                    lifted = lifted.append_column("lsn_seen", touched[LSN_COL])
-                lifted = conform_table(lifted, t.schema)
-                t = lww_reduce(pa.concat_tables([t, lifted]), policy)
-
     delta_mode = bool(ctx.get("delta_mode"))
     if delta_mode and policy:
         raise ValueError("delta_mode requires the default lsn merge policy "
                          "(delta resolve orders by _ab_lsn)")
-    is_del = pc.equal(t["op"], "delete")
-    # survivors of this run's changes; in delta mode tombstones are KEPT as
-    # rows (flagged) so merge-on-read can shadow the base
-    live = t if delta_mode else t.filter(pc.invert(is_del))
-    upserts = conform_table(live, out_schema)
-    upserts = upserts.append_column(LSN_COL, live["lsn"])
-    ts_type = pa.timestamp("us", tz="UTC")
-    if CDC_UPDATED_AT in live.schema.names:
-        upserts = upserts.append_column(CDC_UPDATED_AT, live[CDC_UPDATED_AT].cast(ts_type))
-    else:
-        upserts = upserts.append_column(CDC_UPDATED_AT, pa.nulls(live.num_rows, ts_type))
+    out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
+    seg_schema = _seg_schema_of(out_schema)
+    names = t.schema.names
 
-    if delta_mode and old_entry is not None:
-        # O(delta) write: only this run's changes land on disk
-        new_seg = conform_table(upserts, seg_schema).append_column(
-            DELETED_COL, is_del.combine_chunks()
-        )
+    win_idx, _, _ = _first_per_key(t["doc_id"].to_numpy(zero_copy_only=False),
+                                   _policy_order(t, policy))
+    # lineage: lsn_lo is the winners' min lsn; lsn_hi the max lsn CONSUMED
+    # (incl. policy losers — the survivors' max stalled the watermark under
+    # custom policies, review finding); n_events counts source events
+    lsn_lo = int(t["lsn"].to_numpy()[win_idx].min())
+    lsn_hi = int(pc.max(t["lsn_seen" if "lsn_seen" in names else "lsn"]).as_py())
+    n_events = int(pc.sum(t["n_src"]).as_py()) if "n_src" in names else t.num_rows
+
+    old_entry = ctx["old_segments"].get(part)
+    delta_write = delta_mode and old_entry is not None
+    old = None if old_entry is None or delta_write else _resolve_partition(
+        ctx["lake_dir"], old_entry["paths"], old_entry["deltas"], seg_schema
+    )
+    if policy and old is not None:
+        # custom comparator: an OLD row may beat an incoming change (e.g.
+        # out-of-order cursor updates under `cursor desc, lsn desc`), so the
+        # touched old rows re-enter event space (lsn=_ab_lsn, op='update')
+        # and the policy re-ranks — the reference's whole-raw-table dedup
+        # window semantics
+        touched = old.filter(pc.is_in(old["doc_id"], value_set=t["doc_id"].combine_chunks()))
+        if touched.num_rows:
+            touched = touched.append_column("lsn", touched[LSN_COL]).append_column(
+                "op", pa.array(["update"] * touched.num_rows))
+            t = pa.concat_tables([t, conform_table(touched, t.schema)])
+            win_idx, _, _ = _first_per_key(t["doc_id"].to_numpy(zero_copy_only=False),
+                                           _policy_order(t, policy))
+
+    # lift the events into segment space: metadata-only ops (column select /
+    # null-fill / cast), no row gather
+    ts_type = pa.timestamp("us", tz="UTC")
+    ev = conform_table(t, out_schema).append_column(LSN_COL, t["lsn"])
+    ev = ev.append_column(
+        CDC_UPDATED_AT, t[CDC_UPDATED_AT].cast(ts_type) if CDC_UPDATED_AT in names
+        else pa.nulls(t.num_rows, ts_type))
+    ev = conform_table(ev, seg_schema)
+    win_op = t["op"].take(pa.array(win_idx))
+
+    if delta_write:
+        # tombstones stay as flagged rows so merge-on-read can shadow the base
+        new_seg = ev.take(pa.array(win_idx)).append_column(
+            DELETED_COL, pc.equal(win_op, "delete").combine_chunks())
         rel = os.path.join(f"part={part:05d}", f"delta-{ctx['run_lsn_hi']:014d}.parquet")
     else:
-        if delta_mode:  # no base yet: the delta IS the base (drop tombstones)
-            upserts = conform_table(upserts.filter(pc.invert(is_del)), seg_schema)
-        # previous partition state minus touched keys (touched keys are fully
-        # replaced: changes always carry lsn > committed watermark >= old lsn)
-        if old_entry is not None:
-            old = old_resolved if old_resolved is not None else _resolve_partition(
-                ctx["lake_dir"], old_entry["paths"], old_entry["deltas"], seg_schema
-            )
-            keep = old.filter(
-                pc.invert(pc.is_in(old["doc_id"], value_set=t["doc_id"].combine_chunks()))
-            )
-            new_seg = pa.concat_tables([keep, conform_table(upserts, seg_schema)])
-        else:
-            new_seg = conform_table(upserts, seg_schema)
-        new_seg = new_seg.take(pc.sort_indices(new_seg, sort_keys=[("doc_id", "ascending")]))
+        # tombstone winners drop but still count as touched keys; null-op
+        # winners drop too.  Touched keys are fully replaced: changes always
+        # carry lsn > committed watermark >= old lsn
+        live = pc.fill_null(pc.invert(pc.equal(win_op, "delete")), False)
+        idx = win_idx[live.to_numpy(zero_copy_only=False)]
+        if old is not None:
+            touched = t["doc_id"].take(pa.array(win_idx)).combine_chunks()
+            keep = pc.invert(pc.is_in(old["doc_id"], value_set=touched))
+            idx = np.concatenate([np.flatnonzero(keep.to_numpy(zero_copy_only=False)),
+                                  idx + old.num_rows])
+            ev = pa.concat_tables([old, ev])
+        # sort in the REAL key type: a cast to string would order int keys
+        # lexicographically ("10" < "9")
+        perm = pc.array_sort_indices(ev["doc_id"].take(pa.array(idx))).to_numpy()
+        new_seg = ev.take(pa.array(idx[perm]))
         rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_lsn_hi']:014d}.parquet")
 
     row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi,
-                         n_events, delta_mode and old_entry is not None)
-    return pa.Table.from_pylist([row], schema=_LINEAGE_SCHEMA)
-
-
-def _fused_shard_apply(t: pa.Table, part: int, ctx: dict) -> pa.Table:
-    """Single-gather apply for the partition-aligned path under the DEFAULT
-    merge policy in full (non-delta) mode — the sustained-replay hot loop.
-
-    The generic path gathers the payload twice: ``lww_reduce`` takes the
-    winners out of the event table, then ``_merge_partition`` concats them
-    with the kept old rows and takes again through a sort permutation.  Here
-    the winner selection produces INDICES only; the old-keep positions and
-    the winner positions are composed into one index array over a zero-copy
-    concat of (old segment, schema-lifted full event table), sorted by
-    doc_id, and the token-heavy payload moves through exactly ONE ``take``.
-    Output is byte-identical to the generic path (same rows, same doc_id
-    sort, same writer options) — pytest asserts file-level equality.
-    ~20% less task CPU at the bench shape (255k events/partition)."""
-    lsn = t["lsn"].to_numpy()
-    # winner per key under max-lsn: same kernel + tie behavior as lww_reduce
-    order = pc.array_sort_indices(t["lsn"], order="descending").to_numpy().astype(np.int64)
-    ids_arr = t["doc_id"].combine_chunks()
-    ids = ids_arr.to_numpy(zero_copy_only=False)
-    if ctx["validate"]:
-        _check_aligned(ids, part, ctx["num_partitions"])
-    inv, _ = pd.factorize(ids[order], sort=False)
-    first = ~pd.Index(inv).duplicated(keep="first")
-    win_idx = order[first]
-    # tombstone winners drop from the output but still count as touched keys;
-    # null-op rows drop too (Table.filter semantics of the generic path)
-    live_mask = pc.fill_null(
-        pc.invert(pc.equal(t["op"].combine_chunks().take(pa.array(win_idx)), "delete")),
-        False,
-    ).to_numpy(zero_copy_only=False)
-    keep_idx = win_idx[live_mask]
-
-    # lineage scalars — identical definitions to the generic path: lsn_lo is
-    # the SURVIVORS' min lsn, lsn_hi the max lsn CONSUMED (incl. losers)
-    lsn_lo = int(lsn[win_idx].min())
-    lsn_hi = int(lsn.max())
-    n_events = t.num_rows
-
-    out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
-    seg_schema = _seg_schema_of(out_schema)
-    # lift the FULL event table into segment space: metadata-only ops
-    # (column select / null-fill / cast), no row gather
-    tf = conform_table(t, out_schema)
-    tf = tf.append_column(LSN_COL, t["lsn"])
-    ts_type = pa.timestamp("us", tz="UTC")
-    if CDC_UPDATED_AT in t.schema.names:
-        tf = tf.append_column(CDC_UPDATED_AT, t[CDC_UPDATED_AT].cast(ts_type))
-    else:
-        tf = tf.append_column(CDC_UPDATED_AT, pa.nulls(t.num_rows, ts_type))
-    tf = conform_table(tf, seg_schema)
-
-    old_entry = ctx["old_segments"].get(part)
-    id_type = seg_schema.field("doc_id").type  # sort in the REAL key type:
-    # a cast to string would order int keys lexicographically ("10" < "9")
-    if old_entry is not None:
-        old = _resolve_partition(
-            ctx["lake_dir"], old_entry["paths"], old_entry["deltas"], seg_schema
-        )
-        touched = ids_arr.take(pa.array(win_idx))  # every incoming key
-        keep_pos = np.flatnonzero(
-            pc.invert(pc.is_in(old["doc_id"], value_set=touched))
-            .to_numpy(zero_copy_only=False)
-        )
-        old_ids = old["doc_id"].combine_chunks().take(pa.array(keep_pos))
-    else:
-        old = seg_schema.empty_table()
-        keep_pos = np.zeros(0, np.int64)
-        old_ids = pa.array([], id_type)
-
-    both = pa.concat_tables([conform_table(old, seg_schema), tf])
-    comp_idx = np.concatenate([keep_pos, keep_idx + old.num_rows])
-    comp_ids = pa.concat_arrays(
-        [old_ids.cast(id_type), ids_arr.take(pa.array(keep_idx)).cast(id_type)]
-    )
-    perm = pc.array_sort_indices(comp_ids).to_numpy().astype(np.int64)
-    new_seg = both.take(pa.array(comp_idx[perm]))
-
-    rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_lsn_hi']:014d}.parquet")
-    row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi, n_events)
+                         n_events, delta_write)
     return pa.Table.from_pylist([row], schema=_LINEAGE_SCHEMA)
 
 
@@ -447,8 +372,8 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
 
 
 def _apply_partition_shard(batch: pa.Table, ctx: dict) -> pa.Table:
-    """Partition-aligned apply task: read one partition's shard files,
-    filter lsn, LWW-reduce, merge+write its segment.  No exchange."""
+    """Partition-aligned apply task: read one partition's shard files
+    (lsn filter), check alignment, run the merge kernel.  No exchange."""
     ev_schema = pa.ipc.read_schema(pa.BufferReader(ctx["event_schema"]))
     outs = []
     for row in batch.to_pylist():
@@ -458,21 +383,9 @@ def _apply_partition_shard(batch: pa.Table, ctx: dict) -> pa.Table:
         t = pa.concat_tables([conform_table(x, ev_schema) for x in tbls])
         if t.num_rows == 0:
             continue
-        if not ctx.get("policy") and not ctx.get("delta_mode"):
-            # default-policy full-mode hot loop: single-gather fused apply
-            # (validate runs inside, reusing the materialized key column)
-            outs.append(_fused_shard_apply(t, part, ctx))
-            continue
         if ctx["validate"]:
             _check_aligned(t["doc_id"], part, ctx["num_partitions"])
-        t = t.append_column("n_src", pa.array(np.ones(t.num_rows, np.int64)))
-        t = t.append_column("lsn_seen", t["lsn"])
-        t = lww_reduce(
-            t, tuple(map(tuple, ctx["policy"])) if ctx.get("policy") else None
-        )
-        t = t.append_column("part", pa.array(np.full(t.num_rows, part, np.int64)))
-        # whole partition reduced in-task just above — skip the second pass
-        outs.append(_merge_partition(t, {**ctx, "pre_reduced": True}))
+        outs.append(_merge_partition(t, part, ctx))
     if not outs:
         return _LINEAGE_SCHEMA.empty_table()
     return pa.concat_tables(outs)
@@ -679,7 +592,8 @@ class LakeTable:
             "run_lsn_hi": wm + 1,
         }
         lineage_ds = pre.groupby("part").map_groups(
-            partial(_merge_partition, ctx=ctx), batch_format="pyarrow"
+            lambda g: _merge_partition(g, int(g["part"][0].as_py()), ctx),
+            batch_format="pyarrow",
         )
         lineage = lineage_ds.take_all()  # ≤ P small dicts
         elapsed = time.perf_counter() - t0

@@ -146,6 +146,8 @@ def test_bloom_sidecar_string_keys(tmp_path):
 
 def test_missing_sidecar_is_never_skipped(tmp_path):
     from airbyte_ray.functions.layout import (
+        _load_sidecar,
+        _sidecar_path,
         point_probed_files,
         write_bloom_sidecars,
     )
@@ -156,7 +158,14 @@ def test_missing_sidecar_is_never_skipped(tmp_path):
     write_bloom_sidecars(files, "k")
     os.remove(files[0] + ".bloom-k")
     probed = point_probed_files(files, "k", [-12345])  # absent key
-    assert probed == [files[0]]  # stat-less file must still be scanned
+    assert files[0] in probed  # stat-less file must still be scanned
+    # exact for every layout: each other file is scanned iff its own Bloom
+    # filter reports the absent key maybe-present (a false positive)
+    karr = pa.array([-12345]).to_numpy(zero_copy_only=False)
+    assert probed == [files[0]] + [
+        f for f in files[1:]
+        if _load_sidecar(_sidecar_path(f, "k"), "k").contains(karr).any()
+    ]
 
 
 def test_sidecar_wrong_column_raises(tmp_path):

@@ -4,6 +4,9 @@ Mirrors the reference acceptance suites: CdcSourceTest (snapshot/update/
 delete), DestinationAcceptanceTest.testIncrementalDedupeSync (latest per PK),
 and the normalization golden corpus — FIXTURES F6 invariants."""
 
+import glob
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -119,7 +122,23 @@ def test_delta_mode_matches_full_merge(fixtures, tmp_path):
     # freshly bootstrapped: multi-file base partitions, no deltas yet
     assert any(len(e.paths) > 1 for e in lake.manifest.partitions.values())
     _assert_read_matches_table(lake)
+    # O(delta) guard: a delta apply never reads the base.  With every base
+    # file replaced by garbage it still succeeds and writes only deltas.
+    base_bytes = {}
+    for e in lake.manifest.partitions.values():
+        for rel in e.paths:
+            f = os.path.join(lake_dir, rel)
+            with open(f, "rb") as fh:
+                base_bytes[f] = fh.read()
+            with open(f, "wb") as fh:
+                fh.write(b"not a parquet file")
+    on_disk = set(glob.glob(os.path.join(lake_dir, "part=*", "*")))
     s1 = lake.apply_log(str(p1), delta=True)
+    written = set(glob.glob(os.path.join(lake_dir, "part=*", "*"))) - on_disk
+    assert written and all(os.path.basename(f).startswith("delta-") for f in written)
+    for f, data in base_bytes.items():
+        with open(f, "wb") as fh:
+            fh.write(data)
     s2 = lake.apply_log(str(p2), delta=True)
     assert s1["applied_events"] > 0 and s2["applied_events"] > 0
     m = Manifest.load(lake_dir)
@@ -255,7 +274,9 @@ def test_resume_after_crash_delta_mode(fixtures):
 
 def test_partition_aligned_apply(tmp_path):
     """Key-partitioned (sharded-WAL) log → apply_partitioned matches the
-    shuffled path and the oracle; misaligned input fails loudly."""
+    shuffled path and the oracle, in full and delta mode: both paths run
+    the same merge kernel, so they write the same bytes and lineage.
+    Misaligned input fails loudly."""
     P = 4
     base = gen.gen_base(200, seed=31)
     pools = gen.partition_pools(200, P)
@@ -272,17 +293,35 @@ def test_partition_aligned_apply(tmp_path):
         pq.write_table(ev, d / "chunk-0.parquet")
         all_events.append(ev)
 
-    a = LakeTable(str(tmp_path / "lake_a"), ReplayConfig(num_partitions=P))
-    a.init_snapshot(ray.data.from_arrow(base))
-    stats = a.apply_partitioned(str(root))
-    assert stats["applied_events"] > 0
     expected = replay_oracle(base, all_events)
-    assert a.to_table().equals(expected)
+    for delta in (False, True):
+        a = LakeTable(str(tmp_path / f"lake_a{delta:d}"), ReplayConfig(num_partitions=P))
+        a.init_snapshot(ray.data.from_arrow(base))
+        stats = a.apply_partitioned(str(root), delta=delta)
+        assert stats["applied_events"] > 0
+        assert a.to_table().equals(expected)
 
-    b = LakeTable(str(tmp_path / "lake_b"), ReplayConfig(num_partitions=P))
-    b.init_snapshot(ray.data.from_arrow(base))
-    b.apply_log([str(root / f"part={p:05d}" / "chunk-0.parquet") for p in range(P)])
-    assert b.to_table().equals(a.to_table())
+        b = LakeTable(str(tmp_path / f"lake_b{delta:d}"), ReplayConfig(num_partitions=P))
+        b.init_snapshot(ray.data.from_arrow(base))
+        b.apply_log([str(root / f"part={p:05d}" / "chunk-0.parquet") for p in range(P)],
+                    delta=delta)
+        assert b.to_table().equals(a.to_table())
+
+        # one merge kernel: both paths write byte-identical segment files
+        # and commit equal partition lineage
+        ma, mb = Manifest.load(a.lake_dir), Manifest.load(b.lake_dir)
+        assert ma.watermark == mb.watermark
+        assert set(ma.partitions) == set(mb.partitions)
+        assert any(e.delta_paths for e in ma.partitions.values()) == delta
+        for p, ea in ma.partitions.items():
+            eb = mb.partitions[p]
+            for f in ("paths", "delta_paths", "rows", "lsn_lo", "lsn_hi", "n_events",
+                      "checksum"):
+                assert getattr(ea, f) == getattr(eb, f), (p, f)
+            for rel in ea.all_paths:
+                with open(os.path.join(a.lake_dir, rel), "rb") as fa, \
+                        open(os.path.join(b.lake_dir, rel), "rb") as fb:
+                    assert fa.read() == fb.read(), f"segment bytes differ: {rel}"
 
     # misaligned: a shard containing wrong-partition keys must be rejected
     bad = tmp_path / "bad" / "part=00000"
@@ -294,11 +333,12 @@ def test_partition_aligned_apply(tmp_path):
 
 
 def test_fused_shard_apply_byte_equals_generic(tmp_path):
-    """The single-gather fused fast path (default policy, full mode) must
-    write byte-identical segment files to the generic reduce-then-merge
-    path.  An EXPLICIT (("lsn","descending"),) merge_policy routes the same
-    semantics down the generic `_merge_partition` branch; two applies cover
-    old-absent and old-present merges, with dup deliveries + tombstones."""
+    """The default merge policy and an EXPLICIT (("lsn","descending"),)
+    merge_policy must write byte-identical segment files.  The explicit
+    policy takes the merge kernel's custom-policy branch (touched old rows
+    lifted back into event space and re-ranked with the events); two
+    applies cover old-absent and old-present merges, with dup deliveries +
+    tombstones."""
     import os
 
     P = 4

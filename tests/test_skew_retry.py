@@ -1,7 +1,5 @@
 """Hot-key skew (the per-batch combiner bounds it) + retried-task idempotence."""
 
-import numpy as np
-import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
@@ -12,7 +10,6 @@ from airbyte_ray.pipelines.replay import (
     ReplayConfig,
     _merge_partition,
     _pre_reduce,
-    lww_reduce,
 )
 
 
@@ -44,9 +41,6 @@ def test_merge_task_idempotent_under_retry(tmp_path):
     Ray task retries (deterministic segment paths, SURVEY hard-part #1)."""
     base = gen.gen_base(50, seed=71)
     ev = gen.gen_events(300, 50, seed=72)
-    t = ev.append_column("n_src", pa.array(np.ones(ev.num_rows, np.int64)))
-    t = lww_reduce(t)
-    t = t.append_column("part", pa.array(np.zeros(t.num_rows, np.int64)))
 
     from airbyte_ray.schemas import BASE_SCHEMA
 
@@ -56,9 +50,9 @@ def test_merge_task_idempotent_under_retry(tmp_path):
         "old_segments": {},
         "run_lsn_hi": 1,
     }
-    lin1 = _merge_partition(t, ctx).to_pylist()
+    lin1 = _merge_partition(ev, 0, ctx).to_pylist()
     seg = tmp_path / "lake" / lin1[0]["path"]
     bytes1 = seg.read_bytes()
-    lin2 = _merge_partition(t, ctx).to_pylist()  # the "retry"
+    lin2 = _merge_partition(ev, 0, ctx).to_pylist()  # the "retry"
     assert lin1 == lin2
     assert seg.read_bytes() == bytes1
