@@ -195,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                     "partitions_live": len(m.partitions),
                     "rows": m.lineage_rows(),
                     "runs": len(m.runs),
+                    "last_run": m.runs[-1] if m.runs else None,
                     "schema": m.schema.names if m.schema else None,
                 }
             )

@@ -5,13 +5,17 @@ stream_processor.py:742-1011`` — SCD2 window: ``row_number() over (partition
 by unique_key order by cursor desc) = 1``, active iff not deleted, replay
 dedup of identical redeliveries) as an idiomatic Ray Data plan:
 
-    read_event_log(lsn > watermark)                 # predicate pushdown
-      → map_batches(_pre_reduce, pyarrow)           # per-batch LWW combiner
-                                                    #   + partition key
-      → groupby(part).map_groups(_merge_partition)  # the merge kernel: LWW
-                                                    #   winners + old segment,
-                                                    #   one gather, write
-      → lineage rows (P small rows) → manifest.commit()
+    scan_event_log(lsn window)                    # ONE footer pass: schema,
+                                                  #   files, row bound
+    small window (row bound <= _one_task_rows()): one ray.remote task —
+      pushdown read → _pre_reduce → slice by part → _merge_partition
+    else, one keyed exchange:
+      read_parquet(lsn window)
+        → map_batches(_pre_reduce, pyarrow)       # per-batch LWW combiner
+        → groupby(part).map_groups(_merge_partition)  # the merge kernel: LWW
+                                                  #   winners + old segment,
+                                                  #   one gather, write
+    → lineage rows (≤ P small rows) → manifest.commit()
 
 ``apply_partitioned`` (key-partitioned input) runs the same kernel on each
 shard's raw events with no exchange, and ``CdcCatalogEngine.sync_shared``
@@ -26,7 +30,9 @@ Why this shape at 100 TB:
 * the per-batch combiner collapses duplicate keys *before* any shuffle, so
   a hot doc_id contributes at most one row per input block to the exchange —
   that bounds hot-key skew without a second reduce stage;
-* the only shuffle is one sort shuffle keyed by the int ``part``;
+* the only shuffle is one sort shuffle keyed by the int ``part``, and a
+  small window (most CDC commits) has none: Ray Data job and exchange
+  overhead, not merge work, set its latency;
 * exactly-once: segments have deterministic paths derived from the committed
   watermark; a retried/crashed run rewrites identical bytes; visibility is
   the atomic manifest replace (BufferedStreamConsumer commit discipline,
@@ -57,7 +63,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..schemas import CDC_DELETED_AT, CDC_UPDATED_AT, conform_table, unify_schemas
-from ..sources.event_log import read_event_log
+from ..sources.event_log import EventLogScan, scan_event_log
 from ..state.manifest import Manifest, PartitionEntry
 
 #: event-envelope columns that are not payload
@@ -391,11 +397,57 @@ def _apply_partition_shard(batch: pa.Table, ctx: dict) -> pa.Table:
     return pa.concat_tables(outs)
 
 
+def _one_task_rows() -> int:
+    """The largest window (footer row bound) ``apply_log`` runs as one task.
+
+    Measured on a 4-core VM (Ray 2.49.2; medians of 5 interleaved
+    fresh-lake applies, one task / exchange, s; BASELINE.md has the grid):
+
+    window (row bound), lake               1 CPU        2 CPUs       4 CPUs
+    cdc_tail 3k (4.5k), P=8 delta          0.052/0.255  0.059/0.238  0.064/0.359
+    12k (12.3k), P=64 delta                0.260/0.468  0.241/0.410  0.244/0.455
+    3k (4.5k), P=64 full after bootstrap   0.998/1.493  0.914/0.832  0.926/0.695
+    unaligned_wal 30k (30.6k), P=64 full   1.02/1.71    1.03/1.33    1.08/0.93
+    200k (204k), P=64 full                 2.15/11.85   —            —
+
+    At 1 CPU one task won every window up to the largest measured, which
+    raised the process's peak heap by 336 MB; that window is the cap.  With
+    more CPUs the exchange runs the partitions' kernels in parallel:
+    windows up to 12.3k rows still won 1.7–5.6× in delta mode and at P=8,
+    but a full apply at P=64 right after a bootstrap took 1.07–1.37× the
+    exchange's time at any size up to 30k rows (its base resolve is the
+    work, which the bound cannot see)."""
+    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
+    return 200_000 if cpus <= 1 else 12_000
+
+
+@ray.remote
+def _apply_window(scan: EventLogScan, num_partitions: int, ctx: dict) -> list[dict]:
+    """The one-task apply plan: read each log file's window (row-group
+    pushdown), conform it to the unified event schema, run the combiner once
+    and the merge kernel on each partition's slice.  Returns the lineage
+    rows.  A task retried after a worker death rewrites identical bytes (the
+    kernel's paths and output are deterministic)."""
+    flt = [("lsn", ">", scan.min_lsn)] + (
+        [] if scan.max_lsn is None else [("lsn", "<=", scan.max_lsn)])
+    t = pa.concat_tables([conform_table(pq.read_table(f, filters=flt, partitioning=None),
+                                        scan.schema) for f in scan.files])
+    t = _pre_reduce(t, num_partitions, ctx["policy"])
+    if t.num_rows == 0:
+        return []
+    t = t.sort_by("part")
+    parts, starts, counts = np.unique(t["part"].to_numpy(), return_index=True,
+                                      return_counts=True)
+    return [row for p, i, n in zip(parts, starts, counts)
+            for row in _merge_partition(t.slice(i, n), int(p), ctx).to_pylist()]
+
+
 @dataclass
 class ReplayConfig:
-    """Per-lake replay settings.  ``apply_log`` always runs one keyed
-    exchange — the per-batch combiner collapses duplicate keys before it,
-    so a hot key adds at most one row per input block."""
+    """Per-lake replay settings.  ``apply_log`` sizes its plan to the
+    window (:func:`_one_task_rows`): one task for a small window, else one
+    keyed exchange — the per-batch combiner collapses duplicate keys before
+    it, so a hot key adds at most one row per input block."""
 
     num_partitions: int = 64
     #: write per-run delta files instead of rewriting touched partitions'
@@ -484,7 +536,7 @@ class LakeTable:
             ).take_all()
         )
         return self._commit(lineage, wm=-1, out_schema=out_schema,
-                            elapsed=time.perf_counter() - t0)
+                            elapsed=time.perf_counter() - t0, plan="bootstrap")
 
     def apply_log(self, paths: str | list[str], max_lsn: int | None = None,
                   delta: bool | None = None) -> dict:
@@ -492,19 +544,13 @@ class LakeTable:
         ``delta=True`` writes per-run delta files instead of rewriting each
         touched partition's full segment — apply cost O(changes), bounded
         write amplification for hot partitions; resolve happens at read or
-        via :meth:`compact`."""
-        from ..sources.event_log import read_event_log_with_schema
-
-        # ONE footer pass yields both the dataset and the schema hint
-        # (metadata-only; avoids a partial execution AND the second
-        # O(files) sweep — review finding)
-        ds, schema = read_event_log_with_schema(
-            paths, min_lsn=self.manifest.watermark, max_lsn=max_lsn
-        )
-        return self._apply_ds(
-            ds, already_filtered=True, schema_hint=schema,
-            delta=self.config.delta_mode if delta is None else delta,
-        )
+        via :meth:`compact`.  The plan is sized to the window: one footer
+        pass bounds its rows, and a window within :func:`_one_task_rows`
+        runs as one task with no exchange."""
+        # ONE footer pass yields the schema, the files and the row bound
+        scan = scan_event_log(paths, min_lsn=self.manifest.watermark, max_lsn=max_lsn)
+        return self._apply(scan.schema, self.config.delta_mode if delta is None else delta,
+                           scan=scan)
 
     def apply_chunked(self, paths: str | list[str], chunk_lsns: int,
                       delta: bool | None = None) -> list[dict]:
@@ -540,47 +586,36 @@ class LakeTable:
             for w in wins
         ]
 
-    def _apply_ds(
-        self,
-        events: ray.data.Dataset,
-        already_filtered: bool = False,
-        schema_hint: pa.Schema | None = None,
-        delta: bool = False,
-    ) -> dict:
-        m = self.manifest
-        wm = m.watermark
-        if delta and self.config.merge_policy:
-            raise ValueError("delta_mode requires the default lsn merge policy "
-                             "(delta resolve orders by _ab_lsn)")
+    def _apply_ds(self, events: ray.data.Dataset, already_filtered: bool = False,
+                  delta: bool = False) -> dict:
+        """Apply change events given as a Dataset: there are no footers to
+        size the window from, so this always runs the keyed exchange."""
+        wm = self.manifest.watermark
         if not already_filtered:
             events = events.map_batches(
                 lambda t: t.filter(pc.greater(t["lsn"], pa.scalar(wm, pa.int64()))),
                 batch_format="pyarrow",
             )
+        schema = events.schema()
+        if schema is None:  # fully-filtered input: nothing newer than watermark
+            return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
+        return self._apply(schema, delta, events=events)
 
-        # unified output schema: previous lake schema ∪ incoming payload schema
-        if schema_hint is not None:
-            names, types = schema_hint.names, schema_hint.types
-        else:
-            ev_schema = events.schema()
-            if ev_schema is None:  # fully-filtered input: nothing newer than watermark
-                return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
-            names, types = ev_schema.names, ev_schema.types
-        ev_fields = [
-            pa.field(n, t) for n, t in zip(names, types) if n not in _META_COLS and n != "op"
-        ]
-        payload = pa.schema(ev_fields)  # doc_id + payload columns
+    def _plan_ctx(self, ev_schema: pa.Schema, delta: bool) -> tuple[pa.Schema, dict]:
+        """The unified output schema (lake schema ∪ incoming payload) and
+        the merge kernel's ctx, shared by every apply plan."""
+        m = self.manifest
+        if delta and self.config.merge_policy:
+            raise ValueError("delta_mode requires the default lsn merge policy "
+                             "(delta resolve orders by _ab_lsn)")
+        payload = pa.schema([  # doc_id + payload columns
+            pa.field(n, t) for n, t in zip(ev_schema.names, ev_schema.types)
+            if n not in _META_COLS and n != "op"
+        ])
         out_schema = payload if m.schema is None else unify_schemas(m.schema, payload)
-
-        t0 = time.perf_counter()
-        pol = self.config.merge_policy
-        pre = events.map_batches(
-            partial(_pre_reduce, num_partitions=m.num_partitions, policy=pol),
-            batch_format="pyarrow",
-        )
-        ctx = {
+        return out_schema, {
             "lake_dir": self.lake_dir,
-            "policy": pol,
+            "policy": self.config.merge_policy,
             "schema": out_schema.serialize().to_pybytes(),
             "old_segments": {
                 p: {"paths": e.paths, "deltas": e.delta_paths}
@@ -589,22 +624,37 @@ class LakeTable:
             "delta_mode": delta,
             # deterministic run id: the previous watermark + 1 (unique per
             # committed run chain; a crashed rerun reproduces the same paths)
-            "run_lsn_hi": wm + 1,
+            "run_lsn_hi": m.watermark + 1,
         }
-        lineage_ds = pre.groupby("part").map_groups(
-            lambda g: _merge_partition(g, int(g["part"][0].as_py()), ctx),
-            batch_format="pyarrow",
-        )
-        lineage = lineage_ds.take_all()  # ≤ P small dicts
-        elapsed = time.perf_counter() - t0
-        if os.environ.get("AIRBYTE_RAY_DEBUG"):
-            import sys
 
-            print(lineage_ds.stats(), file=sys.stderr)
-
-        return self._maybe_auto_compact(
-            delta, self._commit(lineage, wm, out_schema, elapsed)
-        )
+    def _apply(self, ev_schema: pa.Schema, delta: bool,
+               events: ray.data.Dataset | None = None,
+               scan: EventLogScan | None = None) -> dict:
+        """Apply one window by the plan its footer row bound picks: one task
+        (no exchange) when ``scan.rows`` fits :func:`_one_task_rows`, else
+        (and for Dataset input) the keyed exchange ``_pre_reduce`` →
+        ``groupby("part")`` → ``_merge_partition``; then commit and
+        auto-compact."""
+        wm, P = self.manifest.watermark, self.manifest.num_partitions
+        out_schema, ctx = self._plan_ctx(ev_schema, delta)
+        t0 = time.perf_counter()
+        est = None if scan is None else scan.rows
+        if est is not None and est <= _one_task_rows():
+            plan = "one_task"
+            lineage = ray.get(_apply_window.remote(scan, P, ctx))
+        else:
+            plan = "exchange"
+            lineage = (
+                (scan.dataset() if events is None else events)
+                .map_batches(partial(_pre_reduce, num_partitions=P, policy=ctx["policy"]),
+                             batch_format="pyarrow")
+                .groupby("part")
+                .map_groups(lambda g: _merge_partition(g, int(g["part"][0].as_py()), ctx),
+                            batch_format="pyarrow")
+                .take_all()  # ≤ P small dicts
+            )
+        return self._maybe_auto_compact(delta, self._commit(
+            lineage, wm, out_schema, time.perf_counter() - t0, plan, est))
 
     def _maybe_auto_compact(self, delta: bool, stats: dict) -> dict:
         """Fold partitions whose delta chain outgrew
@@ -622,17 +672,22 @@ class LakeTable:
             stats["auto_compacted"] = self.compact(hot)
         return stats
 
-    def _commit(self, lineage: list[dict], wm: int, out_schema: pa.Schema, elapsed: float) -> dict:
+    def _commit(self, lineage: list[dict], wm: int, out_schema: pa.Schema, elapsed: float,
+                plan: str = "exchange", est_rows: int | None = None) -> dict:
+        """Fold the lineage rows into the manifest and commit; the run record
+        and the stats name the ``plan`` and the row bound it came from."""
         m = self.manifest
+        run = {"plan": plan, "est_rows": est_rows}
         if not lineage:
-            return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": elapsed}
+            return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": elapsed, **run}
 
         new_wm = max(r["lsn_hi"] for r in lineage)
         n_events = int(sum(r["n_events"] for r in lineage))
         # group lineage by partition: a bootstrap emits several base rows per
         # partition (one per input block — disjoint keys, paths concatenate);
         # a delta row LAYERS onto the existing entry; a full-merge row
-        # REPLACES it (the merge folded base+deltas into one file)
+        # REPLACES it (the merge folded base+deltas into one file).  Base
+        # paths are sorted: block completion order must not reach the manifest
         by_part: dict[int, list[dict]] = {}
         for r in lineage:
             by_part.setdefault(int(r["part"]), []).append(r)
@@ -653,7 +708,7 @@ class LakeTable:
             else:
                 m.partitions[part] = PartitionEntry(
                     part=part,
-                    paths=[r["path"] for r in rows],
+                    paths=sorted(r["path"] for r in rows),
                     delta_paths=[],
                     rows=int(sum(r["rows"] for r in rows)),
                     lsn_lo=int(min(r["lsn_lo"] for r in rows)),
@@ -669,6 +724,7 @@ class LakeTable:
                 "applied_events": n_events,
                 "partitions": len(by_part),
                 "sec": round(elapsed, 3),
+                **run,
             }
         )
         m.watermark = int(new_wm)
@@ -679,6 +735,7 @@ class LakeTable:
             "partitions": len(by_part),
             "watermark": m.watermark,
             "sec": elapsed,
+            **run,
         }
 
     def apply_partitioned(self, root: str, validate_alignment: bool = True,
@@ -718,31 +775,9 @@ class LakeTable:
         from ..sources.event_log import unified_event_schema
 
         ev_schema = unified_event_schema(root)
-        ev_fields = [
-            pa.field(n, t)
-            for n, t in zip(ev_schema.names, ev_schema.types)
-            if n not in _META_COLS and n != "op"
-        ]
-        out_schema = (
-            pa.schema(ev_fields)
-            if m.schema is None
-            else unify_schemas(m.schema, pa.schema(ev_fields))
-        )
-        ctx = {
-            "lake_dir": self.lake_dir,
-            "schema": out_schema.serialize().to_pybytes(),
-            "old_segments": {
-                p: {"paths": e.paths, "deltas": e.delta_paths}
-                for p, e in m.partitions.items()
-            },
-            "delta_mode": delta,
-            "policy": self.config.merge_policy,
-            "run_lsn_hi": wm + 1,
-            "event_schema": ev_schema.serialize().to_pybytes(),
-            "min_lsn": wm,
-            "num_partitions": m.num_partitions,
-            "validate": validate_alignment,
-        }
+        out_schema, ctx = self._plan_ctx(ev_schema, delta)
+        ctx.update(event_schema=ev_schema.serialize().to_pybytes(), min_lsn=wm,
+                   num_partitions=m.num_partitions, validate=validate_alignment)
         t0 = time.perf_counter()
         lineage = (
             ray.data.from_items(items)
@@ -754,7 +789,7 @@ class LakeTable:
             .take_all()
         )
         return self._maybe_auto_compact(
-            delta, self._commit(lineage, wm, out_schema, time.perf_counter() - t0)
+            delta, self._commit(lineage, wm, out_schema, time.perf_counter() - t0, "aligned")
         )
 
     def vacuum(self) -> int:

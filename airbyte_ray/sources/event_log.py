@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import glob as _glob
 import os
+from dataclasses import dataclass
 from functools import partial, reduce
 
 import pyarrow as pa
@@ -78,20 +79,22 @@ def unified_event_schema(paths: str | list[str]) -> pa.Schema:
     )
 
 
-def _file_stat_minmax(f: str, col: str):
-    """Row-group-statistics (min, max) of ``col`` for one file.
-
-    The row-group column index is resolved by LEAF path, not the Arrow
-    top-level field index: any multi-leaf column (struct/list<struct>)
+def _leaf_index(md: pq.FileMetaData, col: str) -> int | None:
+    """Row-group column index of ``col``, resolved by LEAF path, not the
+    Arrow top-level field index: any multi-leaf column (struct/list<struct>)
     before ``col`` shifts the leaf numbering, and the top-level index would
     silently read another column's statistics (review finding)."""
-    md = pq.read_metadata(f)
     # parquet leaf paths: md.schema.column(i).path == dotted leaf name
-    leaf_idx = None
     for i in range(md.num_columns):
         if md.schema.column(i).path == col:
-            leaf_idx = i
-            break
+            return i
+    return None
+
+
+def _file_stat_minmax(f: str, col: str):
+    """Row-group-statistics (min, max) of ``col`` for one file."""
+    md = pq.read_metadata(f)
+    leaf_idx = _leaf_index(md, col)
     if leaf_idx is None:
         return None, None
     mn = mx = None
@@ -126,22 +129,74 @@ def log_max_lsn(paths: str | list[str]) -> int | None:
     return stat_minmax(paths, "lsn")[1]
 
 
-def _schema_groups(files: list[str]) -> tuple[dict[bytes, list[str]], pa.Schema]:
-    """ONE footer read per file feeds both the unified schema and the
-    by-schema file grouping (was 2× O(files) driver-side reads — review
-    finding); fanned out as Ray tasks past FOOTER_FANOUT_THRESHOLD files.
-    Unifies over the DISTINCT schemas only (epochs ≪ files)."""
-    ser: list[bytes] = _fanout_footers(
-        files, lambda f: pq.read_schema(f).serialize().to_pybytes(), list
-    )
+def _file_footer(f: str, min_lsn: int, max_lsn: int | None) -> tuple[bytes, int]:
+    """ONE footer read of one log file: its serialized Arrow schema and an
+    upper bound on its rows in the window ``min_lsn < lsn <= max_lsn`` —
+    the rows of every row group whose ``lsn`` statistics meet the window (a
+    row group without statistics counts whole)."""
+    md = pq.read_metadata(f)
+    leaf = _leaf_index(md, "lsn")
+    rows = 0
+    for rg in range(md.num_row_groups):
+        g = md.row_group(rg)
+        st = None if leaf is None else g.column(leaf).statistics
+        if st is not None and st.has_min_max and (
+                st.max <= min_lsn or (max_lsn is not None and st.min > max_lsn)):
+            continue
+        rows += g.num_rows
+    return md.schema.to_arrow_schema().serialize().to_pybytes(), rows
+
+
+@dataclass
+class EventLogScan:
+    """What one footer pass over the log knows about an lsn window."""
+
+    #: log files grouped by their footer schema (serialized)
+    by_schema: dict[bytes, list[str]]
+    #: the unified schema of every file
+    schema: pa.Schema
+    #: upper bound on the window's rows (from row-group ``lsn`` statistics)
+    rows: int
+    min_lsn: int
+    max_lsn: int | None
+
+    @property
+    def files(self) -> list[str]:
+        return [f for fs in self.by_schema.values() for f in fs]
+
+    def dataset(self) -> ray.data.Dataset:
+        """The window as one Dataset with the unified schema (row-group
+        predicate pushdown, one ``read_parquet`` per schema epoch)."""
+        flt = pc.field("lsn") > pa.scalar(self.min_lsn, pa.int64())
+        if self.max_lsn is not None:
+            flt = flt & (pc.field("lsn") <= pa.scalar(self.max_lsn, pa.int64()))
+        parts = [
+            ray.data.read_parquet(fs, filter=flt, partitioning=None).map_batches(
+                partial(conform_table, schema=self.schema), batch_format="pyarrow")
+            for fs in self.by_schema.values()
+        ]
+        return reduce(lambda a, b: a.union(b), parts)
+
+
+def scan_event_log(paths: str | list[str], min_lsn: int = -1,
+                   max_lsn: int | None = None) -> EventLogScan:
+    """ONE footer read per file feeds the unified schema, the by-schema file
+    grouping and the window's row bound (was 2× O(files) driver-side reads —
+    review finding); fanned out as Ray tasks past FOOTER_FANOUT_THRESHOLD
+    files.  Unifies over the DISTINCT schemas only (epochs ≪ files)."""
+    files = _expand(paths)
+    if not files:
+        raise FileNotFoundError(f"no parquet files under {paths}")
+    footers = _fanout_footers(files, partial(_file_footer, min_lsn=min_lsn, max_lsn=max_lsn),
+                              list)
     by_schema: dict[bytes, list[str]] = {}
-    for f, b in zip(files, ser):
+    for f, (b, _) in zip(files, footers):
         by_schema.setdefault(b, []).append(f)
     schema = reduce(
         unify_schemas,
         (pa.ipc.read_schema(pa.py_buffer(b)) for b in by_schema),
     )
-    return by_schema, schema
+    return EventLogScan(by_schema, schema, sum(n for _, n in footers), min_lsn, max_lsn)
 
 
 def read_event_log_with_schema(
@@ -150,23 +205,10 @@ def read_event_log_with_schema(
     max_lsn: int | None = None,
 ) -> tuple[ray.data.Dataset, pa.Schema]:
     """:func:`read_event_log` plus the unified schema from the SAME footer
-    pass — callers needing both (apply_log's schema hint) previously paid
-    two full O(files) metadata sweeps (review finding)."""
-    files = _expand(paths)
-    if not files:
-        raise FileNotFoundError(f"no parquet files under {paths}")
-    by_schema, schema = _schema_groups(files)
-    flt = pc.field("lsn") > pa.scalar(min_lsn, pa.int64())
-    if max_lsn is not None:
-        flt = flt & (pc.field("lsn") <= pa.scalar(max_lsn, pa.int64()))
-    parts = []
-    for fs in by_schema.values():
-        ds = ray.data.read_parquet(fs, filter=flt, partitioning=None)
-        parts.append(ds.map_batches(partial(conform_table, schema=schema), batch_format="pyarrow"))
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)
-    return ds, schema
+    pass — callers needing both (``sync_shared``'s payload schema)
+    previously paid two full O(files) metadata sweeps (review finding)."""
+    scan = scan_event_log(paths, min_lsn, max_lsn)
+    return scan.dataset(), scan.schema
 
 
 def read_event_log(

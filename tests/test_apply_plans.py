@@ -1,0 +1,80 @@
+"""Both ``apply_log`` plans — one task for a small window, the keyed exchange
+for a large one — against the replay oracles.
+
+The fixtures of the replay tests are small, so under the real threshold every
+window runs as one task.  This module collects those tests again with the
+plan forced by monkeypatching the threshold: ``one_task`` (threshold ∞) and
+``exchange`` (threshold 0).  It also pins what the run record says about the
+plan."""
+
+import json
+
+import pyarrow.parquet as pq
+import pytest
+import ray.data
+
+from airbyte_ray import gen
+from airbyte_ray.pipelines import replay
+from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig
+from airbyte_ray.state.manifest import Manifest
+
+# collected here a second time, once per forced plan (see forced_plan)
+from test_replay import (  # noqa: F401
+    fixtures,
+    test_auto_compaction_bounds_delta_chain,
+    test_chunked_replay_matches_single_shot,
+    test_chunked_replay_survives_lsn_gap,
+    test_delta_mode_matches_full_merge,
+    test_merge_policy_cursor_chain,
+    test_partition_aligned_apply,
+    test_resume_after_crash_before_commit,
+    test_resume_after_crash_delta_mode,
+)
+from test_schema_evolution import (  # noqa: F401
+    evolved,
+    test_evolved_replay_matches_oracle,
+    test_schema_history_ddl_log,
+    test_single_run_mixed_epochs,
+)
+
+THRESHOLD = {"one_task": float("inf"), "exchange": 0}
+
+
+@pytest.fixture(autouse=True, params=sorted(THRESHOLD))
+def forced_plan(request, monkeypatch):
+    monkeypatch.setattr(replay, "_one_task_rows", lambda: THRESHOLD[request.param])
+    return request.param
+
+
+def test_run_record_names_plan(forced_plan, tmp_path, capsys):
+    """``apply_log``'s stats and the manifest's last run record name the
+    plan and the footer row bound it was chosen from; ``status`` prints
+    that record.  The bound never undercounts the window."""
+    from airbyte_ray.cli import main as cli_main
+
+    base = gen.gen_base(100, seed=3)
+    ev = gen.gen_events(600, 100, seed=4)
+    p = tmp_path / "ev.parquet"
+    pq.write_table(ev, p, row_group_size=100)
+    lake = LakeTable(str(tmp_path / "lake"), ReplayConfig(num_partitions=4))
+    assert lake.init_snapshot(ray.data.from_arrow(base))["plan"] == "bootstrap"
+
+    mid = int(ev["lsn"].to_numpy().max()) // 2
+    st = lake.apply_log(str(p), max_lsn=mid)
+    assert st["plan"] == forced_plan
+    window = int((ev["lsn"].to_numpy() <= mid).sum())
+    assert window <= st["est_rows"] < ev.num_rows  # row groups past mid pruned
+    run = Manifest.load(lake.lake_dir).runs[-1]
+    assert (run["plan"], run["est_rows"]) == (forced_plan, st["est_rows"])
+
+    assert cli_main(["status", "--lake", lake.lake_dir]) == 0
+    last = json.loads(capsys.readouterr().out)["last_run"]
+    assert (last["plan"], last["est_rows"]) == (forced_plan, st["est_rows"])
+
+    # a redelivered window commits nothing but still names its plan
+    st = lake.apply_log(str(p), max_lsn=mid)
+    assert (st["applied_events"], st["plan"]) == (0, forced_plan)
+    # Dataset input has no footers to size from: always the exchange
+    st = lake._apply_ds(ray.data.from_arrow(ev), delta=True)
+    assert (st["plan"], st["est_rows"]) == ("exchange", None)
+    assert Manifest.load(lake.lake_dir).runs[-1]["plan"] == "exchange"

@@ -39,3 +39,38 @@ def test_read_event_log_fanout_reads_all_epochs(log_dir, ray_session, monkeypatc
     assert t.num_rows == 600
     assert "extra" in t.column_names
     assert min(t.column("lsn").to_pylist()) == 600
+
+
+def test_window_row_bound_reads_lsn_by_leaf_path(tmp_path, ray_session, monkeypatch):
+    """The footer pass bounds a window's rows from the ``lsn`` row-group
+    statistics, found by leaf path: a struct column BEFORE ``lsn`` shifts
+    the leaf numbering.  The bound is never below the true window count and
+    prunes row groups outside the window; the fanned-out pass agrees."""
+    import numpy as np
+
+    rng = np.random.default_rng(3)
+    n = 1000
+    lsn = np.argsort(np.arange(n) + rng.integers(0, 40, n), kind="stable").astype(np.int64)
+    t = pa.table({
+        "meta": pa.array([{"a": int(i), "b": -int(i)} for i in range(n)]),
+        "lsn": pa.array(lsn),
+        "doc_id": pa.array([f"d{i % 70}" for i in range(n)]),
+    })
+    d = tmp_path / "wal"
+    d.mkdir()
+    for i in range(2):
+        pq.write_table(t.slice(i * 500, 500), d / f"f-{i}.parquet", row_group_size=100)
+    # the struct's two leaves come first: a top-level index would read them
+    md = pq.read_metadata(d / "f-0.parquet")
+    assert md.num_columns == 4 and el._leaf_index(md, "lsn") == 2
+
+    for lo, hi in ((-1, None), (-1, 99), (250, 420), (620, 640), (998, None), (2000, None)):
+        true = int(((lsn > lo) & (lsn <= (n if hi is None else hi))).sum())
+        scan = el.scan_event_log(str(d), min_lsn=lo, max_lsn=hi)
+        assert true <= scan.rows <= n
+        if hi is not None and hi - lo < 100:
+            assert scan.rows <= 300  # at most the groups the disorder spreads over
+        monkeypatch.setattr(el, "FOOTER_FANOUT_THRESHOLD", 1)
+        assert el.scan_event_log(str(d), min_lsn=lo, max_lsn=hi).rows == scan.rows
+        monkeypatch.undo()
+    assert el.scan_event_log(str(d), min_lsn=2000).rows == 0

@@ -172,8 +172,10 @@ def test_bootstrap_fast_path_used_and_correct(fixtures):
     st = lake.init_snapshot(ray.data.from_arrow(base))
     assert st["applied_events"] == N_BASE
     m = Manifest.load(lake_dir)
-    # fast path leaves content-hashed block files
+    # fast path leaves content-hashed block files, listed in sorted order
+    # (not in the order the blocks happened to finish)
     assert any("-" in e.paths[0].split("seg-")[1] for e in m.partitions.values())
+    assert all(e.paths == sorted(e.paths) for e in m.partitions.values())
     _assert_matches_oracle(lake, base, [])
     # a normal apply over the bootstrap merges to single-file partitions
     lake.apply_log(ev_path)
