@@ -3,23 +3,26 @@
 Re-expresses the reference's append-dedup merge (``base-normalization/.../
 stream_processor.py:742-1011`` — SCD2 window: ``row_number() over (partition
 by unique_key order by cursor desc) = 1``, active iff not deleted, replay
-dedup of identical redeliveries) as an idiomatic Ray Data plan:
+dedup of identical redeliveries) as an idiomatic Ray Data plan.  Every
+entry point hands its window to ONE planner, ``_apply_targets``, as a list
+of *targets* — one lake's kernel ctx each, plus its row filter (``lsn >``
+the lake's watermark; ``stream == name`` in a shared WAL):
 
     scan_event_log(lsn window)                    # ONE footer pass: schema,
                                                   #   files, row bound
-    small window (row bound <= _one_task_rows()): one ray.remote task —
-      pushdown read → _pre_reduce → slice by part → _merge_partition
-    else, one keyed exchange:
-      read_parquet(lsn window)
-        → map_batches(_pre_reduce, pyarrow)       # per-batch LWW combiner
-        → groupby(part).map_groups(_merge_partition)  # the merge kernel: LWW
-                                                  #   winners + old segment,
-                                                  #   one gather, write
-    → lineage rows (≤ P small rows) → manifest.commit()
+    window task (_apply_window, one ray.remote task per window, or per
+      shard for key-partitioned input — no exchange):
+      pushdown read → conform → route (keep each target's rows, tag
+        part + target) → sort by (target, part) → _merge_partition per slice
+    else (row bound > _one_task_rows(), or Dataset input), one keyed exchange:
+      route + per-target combiner (_pre_reduce)    # per-batch LWW
+        → groupby([target, part]).map_groups(_merge_partition)
+    → lineage rows (≤ P small rows per target) → each lake's manifest.commit()
 
-``apply_partitioned`` (key-partitioned input) runs the same kernel on each
-shard's raw events with no exchange, and ``CdcCatalogEngine.sync_shared``
-runs it per (stream, partition).  The kernel writes both modes: the full
+``apply_log`` is the one-target case; ``apply_partitioned`` runs one window
+task per shard and raises before any write if a shard holds another
+partition's key; ``CdcCatalogEngine.sync_shared`` passes one target per
+stream.  The kernel (``_merge_partition``) writes both modes: the full
 rewrite (copy-on-write) and a delta file resolved at read (merge-on-read).
 The winner rule lives in one place — ``_policy_order`` ranks rows,
 ``_first_per_key`` takes each key's first — shared by the combiner
@@ -30,7 +33,7 @@ Why this shape at 100 TB:
 * the per-batch combiner collapses duplicate keys *before* any shuffle, so
   a hot doc_id contributes at most one row per input block to the exchange —
   that bounds hot-key skew without a second reduce stage;
-* the only shuffle is one sort shuffle keyed by the int ``part``, and a
+* the only shuffle is one sort shuffle keyed by the ints (target, part); a
   small window (most CDC commits) has none: Ray Data job and exchange
   overhead, not merge work, set its latency;
 * exactly-once: segments have deterministic paths derived from the committed
@@ -150,11 +153,15 @@ def lww_reduce(t: pa.Table, policy: tuple | None = None) -> pa.Table:
     return kept
 
 
+def _part_of(ids: pa.ChunkedArray, num_partitions: int) -> pa.Array:
+    """Each key's hash partition — the lake's one partitioning rule."""
+    return pa.array((stable_hash(ids) % np.uint64(num_partitions)).astype(np.int64))
+
+
 def _pre_reduce(t: pa.Table, num_partitions: int,
                 policy: tuple | None = None) -> pa.Table:
-    """Per-batch combiner + partition key.  Runs before the shuffle."""
-    if t.num_rows == 0:
-        return t
+    """Per-batch combiner + partition key.  Runs before the shuffle; an
+    empty batch keeps the output columns (batches stay schema-stable)."""
     if "n_src" not in t.schema.names:
         t = t.append_column("n_src", pa.array(np.ones(t.num_rows, np.int64)))
     if "lsn_seen" not in t.schema.names:
@@ -162,8 +169,7 @@ def _pre_reduce(t: pa.Table, num_partitions: int,
         # max-folded through every reduce — see lww_reduce
         t = t.append_column("lsn_seen", t["lsn"])
     t = lww_reduce(t, policy)
-    part = (stable_hash(t["doc_id"]) % np.uint64(num_partitions)).astype(np.int64)
-    return t.append_column("part", pa.array(part))
+    return t.append_column("part", _part_of(t["doc_id"], num_partitions))
 
 
 def _seg_schema_of(out_schema: pa.Schema) -> pa.Schema:
@@ -236,28 +242,14 @@ def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
             "is_delta": is_delta}
 
 
-def _check_aligned(ids, part: int, num_partitions: int) -> None:
-    """Fail loudly when a shard of the partition-aligned path holds keys
-    that hash to another partition (misaligned input must not corrupt
-    state)."""
-    h = (stable_hash(ids) % np.uint64(num_partitions)).astype(np.int64)
-    if not (h == part).all():
-        bad = int((h != part).sum())
-        raise ValueError(
-            f"shard part={part}: {bad} rows hash to other partitions — "
-            "input is not aligned with the lake partitioning; use apply_log()"
-        )
-
-
 def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     """The merge kernel: apply one hash partition's change events ``t`` and
     write its new segment — the full rewrite (copy-on-write) or, in delta
     mode over an existing base, only this run's winners as a delta file
     resolved at read (merge-on-read).  Returns a one-row lineage table.
-    Runs as a stateless Ray task per partition, on raw events
-    (``apply_partitioned``) or on combiner output (``apply_log``,
-    ``sync_shared`` — ``n_src``/``lsn_seen`` columns carry what the
-    combiner folded away).
+    Runs on one (target, part) slice of a window: raw events in the window
+    task, combiner output after the exchange (``n_src``/``lsn_seen``
+    columns carry what the combiner folded away).
 
     Winners are picked as INDICES; the payload moves through exactly ONE
     ``take``.  Full write: the kept old rows and the live winners are
@@ -266,9 +258,6 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     the old partition (O(delta) apply cost)."""
     policy = tuple(map(tuple, ctx["policy"])) if ctx.get("policy") else None
     delta_mode = bool(ctx.get("delta_mode"))
-    if delta_mode and policy:
-        raise ValueError("delta_mode requires the default lsn merge policy "
-                         "(delta resolve orders by _ab_lsn)")
     out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
     seg_schema = _seg_schema_of(out_schema)
     names = t.schema.names
@@ -350,8 +339,7 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
     out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
     seg_schema = _seg_schema_of(out_schema)
     P = ctx["num_partitions"]
-    h = stable_hash(t["doc_id"])
-    part = (h % np.uint64(P)).astype(np.int64)
+    part = _part_of(t["doc_id"], P).to_numpy()
     order = np.argsort(part, kind="stable")
     sorted_t = t.take(pa.array(order))
     sorted_part = part[order]
@@ -377,28 +365,8 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=_LINEAGE_SCHEMA)
 
 
-def _apply_partition_shard(batch: pa.Table, ctx: dict) -> pa.Table:
-    """Partition-aligned apply task: read one partition's shard files
-    (lsn filter), check alignment, run the merge kernel.  No exchange."""
-    ev_schema = pa.ipc.read_schema(pa.BufferReader(ctx["event_schema"]))
-    outs = []
-    for row in batch.to_pylist():
-        part, files = int(row["part"]), row["files"].split("\n")
-        flt = [("lsn", ">", ctx["min_lsn"])]
-        tbls = [pq.read_table(f, filters=flt) for f in files]
-        t = pa.concat_tables([conform_table(x, ev_schema) for x in tbls])
-        if t.num_rows == 0:
-            continue
-        if ctx["validate"]:
-            _check_aligned(t["doc_id"], part, ctx["num_partitions"])
-        outs.append(_merge_partition(t, part, ctx))
-    if not outs:
-        return _LINEAGE_SCHEMA.empty_table()
-    return pa.concat_tables(outs)
-
-
 def _one_task_rows() -> int:
-    """The largest window (footer row bound) ``apply_log`` runs as one task.
+    """The largest window (footer row bound) the planner runs as one task.
 
     Measured on a 4-core VM (Ray 2.49.2; medians of 5 interleaved
     fresh-lake applies, one task / exchange, s; BASELINE.md has the grid):
@@ -421,33 +389,123 @@ def _one_task_rows() -> int:
     return 200_000 if cpus <= 1 else 12_000
 
 
+@dataclass
+class _Target:
+    """One lake a window applies to: the merge kernel's ``ctx`` (from
+    :meth:`LakeTable._plan_ctx`), the lake's partition count, and the row
+    filter — ``lsn > min_lsn`` and, in a shared WAL, ``stream == (column,
+    name)``.  ``min_lsn`` is None when the input holds no older rows: a
+    footer scan from the lake's own watermark reads only ``lsn >`` it, and
+    a backfill chunk is stamped at it on purpose."""
+
+    ctx: dict
+    num_partitions: int
+    min_lsn: int | None
+    stream: tuple[str, str] | None = None
+
+
+def _route(t: pa.Table, targets: list[_Target], combine: bool = False) -> pa.Table:
+    """Keep each target's rows of one batch and tag them with their ``part``
+    and target index ``tgt``.  ``combine`` runs each target's combiner —
+    only before the exchange, where collapsing duplicate keys shrinks what
+    is shuffled; the window task leaves the winners to the kernel."""
+    subs = []
+    for i, tg in enumerate(targets):
+        sub = t
+        if tg.min_lsn is not None:
+            sub = sub.filter(pc.greater(sub["lsn"], pa.scalar(tg.min_lsn, pa.int64())))
+        if tg.stream is not None:
+            col, name = tg.stream
+            sub = sub.filter(pc.equal(sub[col], name)).drop_columns([col])
+        sub = (_pre_reduce(sub, tg.num_partitions, tg.ctx["policy"]) if combine
+               else sub.append_column("part", _part_of(sub["doc_id"], tg.num_partitions)))
+        subs.append(sub.append_column("tgt", pa.array(np.full(sub.num_rows, i, np.int64))))
+    return pa.concat_tables(subs)
+
+
 @ray.remote
-def _apply_window(scan: EventLogScan, num_partitions: int, ctx: dict) -> list[dict]:
-    """The one-task apply plan: read each log file's window (row-group
-    pushdown), conform it to the unified event schema, run the combiner once
-    and the merge kernel on each partition's slice.  Returns the lineage
-    rows.  A task retried after a worker death rewrites identical bytes (the
-    kernel's paths and output are deterministic)."""
+def _apply_window(scan: EventLogScan, targets: list[_Target], files: list[str] | None = None,
+                  part: int | None = None) -> list[dict]:
+    """The window task: read each log file's window (row-group pushdown),
+    conform it to the unified event schema, route it to the targets and run
+    the merge kernel on each (target, part) slice.  A shard of
+    key-partitioned input (its ``files`` and ``part``) raises before any
+    write if a routed row belongs to another partition.  Returns the lineage
+    rows, tagged ``tgt``.  A task retried after a worker death rewrites
+    identical bytes (the kernel's paths and output are deterministic)."""
     flt = [("lsn", ">", scan.min_lsn)] + (
         [] if scan.max_lsn is None else [("lsn", "<=", scan.max_lsn)])
-    t = pa.concat_tables([conform_table(pq.read_table(f, filters=flt, partitioning=None),
-                                        scan.schema) for f in scan.files])
-    t = _pre_reduce(t, num_partitions, ctx["policy"])
+    t = _route(pa.concat_tables([
+        conform_table(pq.read_table(f, filters=flt, partitioning=None), scan.schema)
+        for f in files or scan.files]), targets)
+    bad = 0 if part is None else int(np.count_nonzero(t["part"].to_numpy() != part))
+    if bad:
+        raise ValueError(f"shard part={part}: {bad} rows hash to other partitions — "
+                         "input is not aligned with the lake partitioning; use apply_log()")
     if t.num_rows == 0:
         return []
-    t = t.sort_by("part")
-    parts, starts, counts = np.unique(t["part"].to_numpy(), return_index=True,
-                                      return_counts=True)
-    return [row for p, i, n in zip(parts, starts, counts)
-            for row in _merge_partition(t.slice(i, n), int(p), ctx).to_pylist()]
+    t = t.sort_by([("tgt", "ascending"), ("part", "ascending")])
+    tgt, prt = t["tgt"].to_numpy(), t["part"].to_numpy()
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1) | np.diff(prt, prepend=-1))
+    return [dict(row, tgt=int(tgt[i]))
+            for i, n in zip(starts, np.diff(starts, append=t.num_rows))
+            for row in _merge_partition(t.slice(i, n), int(prt[i]),
+                                        targets[tgt[i]].ctx).to_pylist()]
+
+
+def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Target],
+                   shards: dict[int, list[str]] | None = None
+                   ) -> tuple[list[list[dict]], str, int | None]:
+    """The one apply planner: apply one window of change events (a footer
+    scan or a Dataset) to every target.  Returns each target's lineage
+    rows, the plan, and the footer row bound it was picked from:
+
+    * ``aligned`` — key-partitioned input (``shards``: part → files): one
+      window task per shard, no exchange;
+    * ``one_task`` — a scan whose row bound fits :func:`_one_task_rows`:
+      one window task, no exchange;
+    * ``exchange`` — otherwise, and for Dataset input: route + per-target
+      combiner → ``groupby([tgt, part])`` → ``_merge_partition``."""
+    scan = source if isinstance(source, EventLogScan) else None
+    est = None if scan is None else scan.rows
+    if shards is not None:
+        plan, est = "aligned", None
+        args = ray.put(scan), ray.put(targets)  # shipped once, not once per shard
+        lineage = [r for rows in ray.get([_apply_window.remote(*args, fs, p)
+                                          for p, fs in shards.items()]) for r in rows]
+    elif est is not None and est <= _one_task_rows():
+        plan = "one_task"
+        lineage = ray.get(_apply_window.remote(scan, targets))
+    else:
+        plan = "exchange"
+
+        def merge(g: pa.Table) -> pa.Table:
+            i = int(g["tgt"][0].as_py())
+            lin = _merge_partition(g, int(g["part"][0].as_py()), targets[i].ctx)
+            return lin.append_column("tgt", pa.array(np.full(lin.num_rows, i, np.int64)))
+
+        lineage = (
+            (source if scan is None else scan.dataset())
+            .map_batches(partial(_route, targets=targets, combine=True), batch_format="pyarrow")
+            .groupby(["tgt", "part"])
+            .map_groups(merge, batch_format="pyarrow")
+            .take_all()  # ≤ P small rows per target
+        )
+    by_target: list[list[dict]] = [[] for _ in targets]
+    for r in lineage:
+        r = dict(r)
+        by_target[int(r.pop("tgt"))].append(r)
+    return by_target, plan, est
 
 
 @dataclass
 class ReplayConfig:
-    """Per-lake replay settings.  ``apply_log`` sizes its plan to the
-    window (:func:`_one_task_rows`): one task for a small window, else one
-    keyed exchange — the per-batch combiner collapses duplicate keys before
-    it, so a hot key adds at most one row per input block."""
+    """Per-lake replay settings.  Every apply runs through one planner
+    (:func:`_apply_targets`), sized to the window by :func:`_one_task_rows`:
+    one task for a small window (or one per shard of key-partitioned
+    input), else one keyed exchange — the per-batch combiner collapses
+    duplicate keys before it, so a hot key adds at most one row per input
+    block."""
 
     num_partitions: int = 64
     #: write per-run delta files instead of rewriting touched partitions'
@@ -511,17 +569,8 @@ class LakeTable:
                 "the replay guard — bootstrap into a fresh lake directory"
             )
 
-        schema = base.schema()
-        payload = pa.schema(
-            [pa.field(n, t) for n, t in zip(schema.names, schema.types)
-             if n not in _META_COLS and n != "op"]
-        )
-        out_schema = payload if m.schema is None else unify_schemas(m.schema, payload)
-        ctx = {
-            "lake_dir": self.lake_dir,
-            "schema": out_schema.serialize().to_pybytes(),
-            "num_partitions": m.num_partitions,
-        }
+        out_schema, ctx = self._plan_ctx(base.schema(), delta=False)
+        ctx["num_partitions"] = m.num_partitions
         t0 = time.perf_counter()
         # A small snapshot in few blocks (e.g. one single-row-group file)
         # would run the whole bootstrap in one task — split it first.  Only
@@ -550,7 +599,7 @@ class LakeTable:
         # ONE footer pass yields the schema, the files and the row bound
         scan = scan_event_log(paths, min_lsn=self.manifest.watermark, max_lsn=max_lsn)
         return self._apply(scan.schema, self.config.delta_mode if delta is None else delta,
-                           scan=scan)
+                           scan, None)
 
     def apply_chunked(self, paths: str | list[str], chunk_lsns: int,
                       delta: bool | None = None) -> list[dict]:
@@ -589,21 +638,18 @@ class LakeTable:
     def _apply_ds(self, events: ray.data.Dataset, already_filtered: bool = False,
                   delta: bool = False) -> dict:
         """Apply change events given as a Dataset: there are no footers to
-        size the window from, so this always runs the keyed exchange."""
+        size the window from, so this always runs the keyed exchange.  The
+        route keeps ``lsn > watermark`` unless ``already_filtered``."""
         wm = self.manifest.watermark
-        if not already_filtered:
-            events = events.map_batches(
-                lambda t: t.filter(pc.greater(t["lsn"], pa.scalar(wm, pa.int64()))),
-                batch_format="pyarrow",
-            )
         schema = events.schema()
-        if schema is None:  # fully-filtered input: nothing newer than watermark
+        if schema is None:  # empty input
             return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
-        return self._apply(schema, delta, events=events)
+        return self._apply(schema, delta, events, None if already_filtered else wm)
 
     def _plan_ctx(self, ev_schema: pa.Schema, delta: bool) -> tuple[pa.Schema, dict]:
         """The unified output schema (lake schema ∪ incoming payload) and
-        the merge kernel's ctx, shared by every apply plan."""
+        the merge kernel's ctx, shared by every entry point.  Rejects delta
+        mode under a custom merge policy on the driver, before any write."""
         m = self.manifest
         if delta and self.config.merge_policy:
             raise ValueError("delta_mode requires the default lsn merge policy "
@@ -628,33 +674,18 @@ class LakeTable:
         }
 
     def _apply(self, ev_schema: pa.Schema, delta: bool,
-               events: ray.data.Dataset | None = None,
-               scan: EventLogScan | None = None) -> dict:
-        """Apply one window by the plan its footer row bound picks: one task
-        (no exchange) when ``scan.rows`` fits :func:`_one_task_rows`, else
-        (and for Dataset input) the keyed exchange ``_pre_reduce`` →
-        ``groupby("part")`` → ``_merge_partition``; then commit and
-        auto-compact."""
-        wm, P = self.manifest.watermark, self.manifest.num_partitions
+               source: EventLogScan | ray.data.Dataset, min_lsn: int | None,
+               shards: dict[int, list[str]] | None = None) -> dict:
+        """Apply one window to this lake as the one-target case of
+        :func:`_apply_targets` (rows with ``lsn > min_lsn``), then commit
+        and auto-compact."""
+        m = self.manifest
         out_schema, ctx = self._plan_ctx(ev_schema, delta)
         t0 = time.perf_counter()
-        est = None if scan is None else scan.rows
-        if est is not None and est <= _one_task_rows():
-            plan = "one_task"
-            lineage = ray.get(_apply_window.remote(scan, P, ctx))
-        else:
-            plan = "exchange"
-            lineage = (
-                (scan.dataset() if events is None else events)
-                .map_batches(partial(_pre_reduce, num_partitions=P, policy=ctx["policy"]),
-                             batch_format="pyarrow")
-                .groupby("part")
-                .map_groups(lambda g: _merge_partition(g, int(g["part"][0].as_py()), ctx),
-                            batch_format="pyarrow")
-                .take_all()  # ≤ P small dicts
-            )
+        (lineage,), plan, est = _apply_targets(
+            source, [_Target(ctx, m.num_partitions, min_lsn)], shards)
         return self._maybe_auto_compact(delta, self._commit(
-            lineage, wm, out_schema, time.perf_counter() - t0, plan, est))
+            lineage, m.watermark, out_schema, time.perf_counter() - t0, plan, est))
 
     def _maybe_auto_compact(self, delta: bool, stats: dict) -> dict:
         """Fold partitions whose delta chain outgrew
@@ -673,7 +704,7 @@ class LakeTable:
         return stats
 
     def _commit(self, lineage: list[dict], wm: int, out_schema: pa.Schema, elapsed: float,
-                plan: str = "exchange", est_rows: int | None = None) -> dict:
+                plan: str, est_rows: int | None = None) -> dict:
         """Fold the lineage rows into the manifest and commit; the run record
         and the stats name the ``plan`` and the row bound it came from."""
         m = self.manifest
@@ -738,28 +769,26 @@ class LakeTable:
             **run,
         }
 
-    def apply_partitioned(self, root: str, validate_alignment: bool = True,
-                          delta: bool | None = None) -> dict:
+    def apply_partitioned(self, root: str, delta: bool | None = None) -> dict:
         """Apply a key-partitioned change log laid out as
         ``<root>/part=NNNNN/*.parquet`` — the sharded-WAL / changelog-topic
         case (Debezium→Kafka topics are key-partitioned; a 10^10-event log
         arrives this way).  When the log's partitioning matches the lake's
-        (same key hash, same P), the exchange vanishes: one task per
-        partition reads its shard files, LWW-reduces, merges with the old
-        segment, writes — each byte moves exactly once, embarrassingly
-        parallel.  ``validate_alignment`` re-hashes keys in-task and fails
-        loudly on misrouted rows (misaligned input must not corrupt state);
-        for unaligned logs use :meth:`apply_log` (one keyed exchange).
+        (same key hash, same P), the exchange vanishes: one window task per
+        shard reads its files and merges its partition — each byte moves
+        exactly once, embarrassingly parallel.  A shard row whose key hashes
+        to another partition raises before that task writes (misaligned
+        input must not corrupt state); for unaligned logs use
+        :meth:`apply_log` (one keyed exchange).
         """
         import glob as _g
 
         m = self.manifest
-        wm = m.watermark
         delta = self.config.delta_mode if delta is None else delta
         part_dirs = sorted(_g.glob(os.path.join(root, "part=*")))
         if not part_dirs:
             raise FileNotFoundError(f"no part=* shard dirs under {root}")
-        items = []
+        shards = {}
         for d in part_dirs:
             p = int(os.path.basename(d).split("=")[1])
             if p >= m.num_partitions:
@@ -768,29 +797,12 @@ class LakeTable:
                 )
             files = sorted(_g.glob(os.path.join(d, "*.parquet")))
             if files:
-                items.append({"part": p, "files": "\n".join(files)})
-        if not items:
-            return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
-
-        from ..sources.event_log import unified_event_schema
-
-        ev_schema = unified_event_schema(root)
-        out_schema, ctx = self._plan_ctx(ev_schema, delta)
-        ctx.update(event_schema=ev_schema.serialize().to_pybytes(), min_lsn=wm,
-                   num_partitions=m.num_partitions, validate=validate_alignment)
-        t0 = time.perf_counter()
-        lineage = (
-            ray.data.from_items(items)
-            .map_batches(
-                partial(_apply_partition_shard, ctx=ctx),
-                batch_format="pyarrow",
-                batch_size=1,
-            )
-            .take_all()
-        )
-        return self._maybe_auto_compact(
-            delta, self._commit(lineage, wm, out_schema, time.perf_counter() - t0, "aligned")
-        )
+                shards[p] = files
+        if not shards:
+            return {"applied_events": 0, "partitions": 0, "watermark": m.watermark, "sec": 0.0}
+        # ONE footer pass over every shard file: the unified event schema
+        scan = scan_event_log([f for fs in shards.values() for f in fs], min_lsn=m.watermark)
+        return self._apply(scan.schema, delta, scan, None, shards)
 
     def vacuum(self) -> int:
         """Delete segment files not referenced by the committed manifest

@@ -205,8 +205,9 @@ def read_event_log_with_schema(
     max_lsn: int | None = None,
 ) -> tuple[ray.data.Dataset, pa.Schema]:
     """:func:`read_event_log` plus the unified schema from the SAME footer
-    pass — callers needing both (``sync_shared``'s payload schema)
-    previously paid two full O(files) metadata sweeps (review finding)."""
+    pass (one O(files) metadata sweep, not two).  The apply entry points
+    call :func:`scan_event_log` directly, which also bounds the window's
+    rows."""
     scan = scan_event_log(paths, min_lsn, max_lsn)
     return scan.dataset(), scan.schema
 

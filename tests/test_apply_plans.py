@@ -1,8 +1,9 @@
-"""Both ``apply_log`` plans — one task for a small window, the keyed exchange
-for a large one — against the replay oracles.
+"""Both apply plans — one window task for a small window, the keyed exchange
+for a large one — against the replay oracles, for ``apply_log`` and for
+shared-WAL ``sync_shared`` (one planner serves both).
 
-The fixtures of the replay tests are small, so under the real threshold every
-window runs as one task.  This module collects those tests again with the
+The fixtures of those tests are small, so under the real threshold every
+window runs as one task.  This module collects the tests again with the
 plan forced by monkeypatching the threshold: ``one_task`` (threshold ∞) and
 ``exchange`` (threshold 0).  It also pins what the run record says about the
 plan."""
@@ -19,6 +20,13 @@ from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig
 from airbyte_ray.state.manifest import Manifest
 
 # collected here a second time, once per forced plan (see forced_plan)
+from test_catalog_sync import (  # noqa: F401
+    test_sync_shared_declared_columns_no_cross_pollution,
+    test_sync_shared_honors_delta_mode,
+    test_sync_shared_matches_apply_log,
+    test_sync_shared_single_pass_and_divergent_watermarks,
+)
+from test_nested_substream import test_shared_wal_global_state  # noqa: F401
 from test_replay import (  # noqa: F401
     fixtures,
     test_auto_compaction_bounds_delta_chain,
@@ -78,3 +86,26 @@ def test_run_record_names_plan(forced_plan, tmp_path, capsys):
     st = lake._apply_ds(ray.data.from_arrow(ev), delta=True)
     assert (st["plan"], st["est_rows"]) == ("exchange", None)
     assert Manifest.load(lake.lake_dir).runs[-1]["plan"] == "exchange"
+
+
+def test_sync_shared_run_record_names_plan(forced_plan, tmp_path):
+    """``sync_shared`` takes the same plan choice as ``apply_log``: its
+    stats and every stream's last run record name the plan and the row
+    bound of the shared window."""
+    import pyarrow as pa
+
+    from airbyte_ray.pipelines.catalog_sync import CdcCatalogEngine, CdcStreamConfig
+
+    ev = gen.gen_events(300, 60, seed=5)
+    lp = tmp_path / "wal.parquet"
+    pq.write_table(ev.append_column(
+        "stream", pa.array([("a", "b")[i % 2] for i in range(ev.num_rows)])), lp)
+    eng = CdcCatalogEngine(str(tmp_path / "root"), [
+        CdcStreamConfig(n, str(lp), replay=ReplayConfig(num_partitions=4)) for n in "ab"])
+    out = eng.sync_shared(str(lp))
+    for n in "ab":
+        st = out["streams"][n]
+        assert st["applied_events"] > 0
+        assert (st["plan"], st["est_rows"]) == (forced_plan, ev.num_rows)
+        run = Manifest.load(eng.lake(n).lake_dir).runs[-1]
+        assert (run["plan"], run["est_rows"]) == (forced_plan, ev.num_rows)

@@ -1,12 +1,26 @@
 """Multi-stream CDC catalog engine (per-stream isolated state)."""
 
+import os
+
+import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray.data
 
 from airbyte_ray import gen
 from airbyte_ray.oracle import replay_oracle
 from airbyte_ray.pipelines.catalog_sync import CdcCatalogEngine, CdcStreamConfig
-from airbyte_ray.pipelines.replay import ReplayConfig
+from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig
+from airbyte_ray.state.manifest import Manifest
+
+
+def _files_under(root) -> dict[str, bytes]:
+    out = {}
+    for d, _, fs in os.walk(root):
+        for f in fs:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out
 
 
 def test_two_stream_catalog(tmp_path):
@@ -97,14 +111,14 @@ def test_sync_shared_single_pass_and_divergent_watermarks(tmp_path, monkeypatch)
     assert lake_a.manifest.watermark > 0
 
     calls = {"n": 0}
-    real = el.read_event_log_with_schema
+    real = el.scan_event_log
 
     def counting(*a, **kw):
         calls["n"] += 1
         return real(*a, **kw)
 
-    # read_event_log delegates here, so this counts every WAL scan
-    monkeypatch.setattr(el, "read_event_log_with_schema", counting)
+    # every WAL read (window task or exchange) starts from this footer pass
+    monkeypatch.setattr(el, "scan_event_log", counting)
     out = eng.sync_shared(str(lp))
     assert calls["n"] == 1  # ONE WAL scan for 3 streams
     assert out["streams"]["a"]["applied_events"] == 0  # already ahead → no-op
@@ -187,3 +201,81 @@ def test_sync_shared_honors_delta_mode(tmp_path):
     lake = eng.lake("s")
     assert any(e.delta_paths for e in lake.manifest.partitions.values())
     assert lake.to_table().equals(replay_oracle(base, [ev1, ev2]))
+
+
+def test_sync_shared_rejects_delta_policy_before_any_write(tmp_path):
+    """A delta-mode stream under a custom merge policy fails on the driver,
+    before ANY stream of the catalog writes a segment, and the global
+    offset stays where it was (it used to fail inside a worker, possibly
+    after other streams' kernels had written)."""
+    ev1 = gen.gen_events(200, 40, seed=81)
+    ev2 = gen.gen_events(200, 40, seed=82, start_lsn=gen.next_lsn(ev1))
+    w1, w2 = tmp_path / "w1.parquet", tmp_path / "w2.parquet"
+    pq.write_table(ev1.append_column("stream", pa.array(["a"] * ev1.num_rows)), w1)
+    half = ev2.num_rows // 2
+    pq.write_table(ev2.append_column(
+        "stream", pa.array(["a"] * half + ["b"] * (ev2.num_rows - half))), w2)
+
+    root = tmp_path / "root"
+    good = CdcStreamConfig("a", str(w1), replay=ReplayConfig(num_partitions=4))
+    first = CdcCatalogEngine(str(root), [good]).sync_shared(str(w1))
+    assert first["applied_events"] > 0
+    before = _files_under(root)
+
+    bad = CdcStreamConfig("b", str(w2), replay=ReplayConfig(
+        num_partitions=4, delta_mode=True, merge_policy=(("lsn", "descending"),)))
+    eng = CdcCatalogEngine(str(root), [good, bad])
+    with pytest.raises(ValueError, match="merge policy"):
+        eng.sync_shared(str(w2))
+    assert _files_under(root) == before  # no segment, manifest or offset write
+    assert eng.load_global()["watermark"] == first["watermark"]
+
+
+def test_sync_shared_matches_apply_log(tmp_path):
+    """Each stream of a shared WAL lands exactly as if it were applied
+    alone: ``sync_shared`` writes byte-identical segment files and equal
+    partition entries to ``apply_log`` over the stream's own filtered WAL —
+    a full-mode and a delta-mode stream, bootstrapped, over two syncs."""
+    cfgs = {"a": ReplayConfig(num_partitions=4),
+            "b": ReplayConfig(num_partitions=4, delta_mode=True)}
+    base, snaps = {}, {}
+    for n, seed in (("a", 91), ("b", 92)):
+        base[n] = gen.gen_base(80, seed=seed)
+        snaps[n] = str(tmp_path / f"snap_{n}.parquet")
+        pq.write_table(base[n], snaps[n])
+    # two WAL windows; each holds both streams' events under one global lsn
+    wals, own, lsn = [], {n: [] for n in cfgs}, 0
+    for w in range(2):
+        parts = []
+        for n, seed in (("a", 93), ("b", 94)):
+            ev = gen.gen_events(300, 80, seed=seed + 10 * w, start_lsn=lsn)
+            lsn = gen.next_lsn(ev)
+            own[n].append(ev)
+            parts.append(ev.append_column("stream", pa.array([n] * ev.num_rows)))
+        wals.append(str(tmp_path / f"wal{w}.parquet"))
+        pq.write_table(pa.concat_tables(parts), wals[-1])
+
+    eng = CdcCatalogEngine(str(tmp_path / "root"), [
+        CdcStreamConfig(n, wals[0], snapshot_path=snaps[n], replay=c) for n, c in cfgs.items()])
+    for wal in wals:
+        assert eng.sync_shared(wal)["applied_events"] > 0
+
+    for n, cfg in cfgs.items():
+        alone = LakeTable(str(tmp_path / f"alone_{n}"), cfg)
+        alone.init_snapshot(ray.data.read_parquet(snaps[n], partitioning=None))
+        for w, ev in enumerate(own[n]):
+            p = tmp_path / f"own_{n}{w}.parquet"
+            pq.write_table(ev, p)
+            alone.apply_log(str(p))
+        shared = eng.lake(n)
+        ms, ma = Manifest.load(shared.lake_dir), Manifest.load(alone.lake_dir)
+        assert ms.watermark == ma.watermark
+        assert set(ms.partitions) == set(ma.partitions)
+        assert any(e.delta_paths for e in ms.partitions.values()) == cfg.delta_mode
+        for p, es in ms.partitions.items():
+            assert es == ma.partitions[p], (n, p)
+            for rel in es.all_paths:
+                with open(os.path.join(shared.lake_dir, rel), "rb") as fs, \
+                        open(os.path.join(alone.lake_dir, rel), "rb") as fa:
+                    assert fs.read() == fa.read(), f"segment bytes differ: {n}/{rel}"
+        assert shared.to_table().equals(replay_oracle(base[n], own[n]))

@@ -278,7 +278,7 @@ def test_partition_aligned_apply(tmp_path):
     """Key-partitioned (sharded-WAL) log → apply_partitioned matches the
     shuffled path and the oracle, in full and delta mode: both paths run
     the same merge kernel, so they write the same bytes and lineage.
-    Misaligned input fails loudly."""
+    Misaligned input fails loudly, before any write."""
     P = 4
     base = gen.gen_base(200, seed=31)
     pools = gen.partition_pools(200, P)
@@ -332,6 +332,8 @@ def test_partition_aligned_apply(tmp_path):
     c = LakeTable(str(tmp_path / "lake_c"), ReplayConfig(num_partitions=P))
     with pytest.raises(Exception, match="not aligned|other partitions"):
         c.apply_partitioned(str(tmp_path / "bad"))
+    # ... before the shard's task wrote anything under the lake
+    assert not [f for _, _, fs in os.walk(c.lake_dir) for f in fs]
 
 
 def test_fused_shard_apply_byte_equals_generic(tmp_path):
