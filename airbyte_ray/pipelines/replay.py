@@ -18,12 +18,15 @@ the lake's watermark; ``stream == name`` in a shared WAL):
       route + per-target combiner (_pre_reduce)    # per-batch LWW
         → groupby([target, part]).map_groups(_merge_partition)
     → lineage rows (≤ P small rows per target) → each lake's manifest.commit()
+      → remove the files the folded partitions superseded
 
 ``apply_log`` is the one-target case; ``apply_partitioned`` runs one window
 task per shard and raises before any write if a shard holds another
 partition's key; ``CdcCatalogEngine.sync_shared`` passes one target per
 stream.  The kernel (``_merge_partition``) writes both modes: the full
-rewrite (copy-on-write) and a delta file resolved at read (merge-on-read).
+rewrite (copy-on-write) and a delta file resolved at read (merge-on-read);
+in delta mode it folds a chain that already holds ``auto_compact_deltas``
+files with the full rewrite, so auto-compaction is the apply's own commit.
 The winner rule lives in one place — ``_policy_order`` ranks rows,
 ``_first_per_key`` takes each key's first — shared by the combiner
 (``lww_reduce``), the kernel and merge-on-read (``_resolve_partition``).
@@ -217,6 +220,7 @@ _LINEAGE_SCHEMA = pa.schema(
         ("n_events", pa.int64()),
         ("checksum", pa.int64()),
         ("is_delta", pa.bool_()),
+        ("folded", pa.bool_()),  # a full rewrite that folded a delta chain
     ]
 )
 
@@ -242,14 +246,27 @@ def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
             "is_delta": is_delta}
 
 
+def _remove_files(lake_dir: str, rels: list[str]) -> None:
+    """Remove superseded segment files.  Call only after the manifest commit
+    that stopped listing them has landed; :meth:`LakeTable.vacuum` sweeps
+    what a crash in between leaves."""
+    for rel in rels:
+        try:
+            os.remove(os.path.join(lake_dir, rel))
+        except FileNotFoundError:
+            pass
+
+
 def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     """The merge kernel: apply one hash partition's change events ``t`` and
     write its new segment — the full rewrite (copy-on-write) or, in delta
     mode over an existing base, only this run's winners as a delta file
-    resolved at read (merge-on-read).  Returns a one-row lineage table.
-    Runs on one (target, part) slice of a window: raw events in the window
-    task, combiner output after the exchange (``n_src``/``lsn_seen``
-    columns carry what the combiner folded away).
+    resolved at read (merge-on-read).  A delta chain that already holds
+    ``ctx["auto_compact_deltas"]`` files takes the full rewrite instead
+    (lineage ``folded``).  Returns a one-row lineage table.  Runs on one
+    (target, part) slice of a window: raw events in the window task,
+    combiner output after the exchange (``n_src``/``lsn_seen`` columns
+    carry what the combiner folded away).
 
     Winners are picked as INDICES; the payload moves through exactly ONE
     ``take``.  Full write: the kept old rows and the live winners are
@@ -272,7 +289,9 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     n_events = int(pc.sum(t["n_src"]).as_py()) if "n_src" in names else t.num_rows
 
     old_entry = ctx["old_segments"].get(part)
-    delta_write = delta_mode and old_entry is not None
+    k = ctx.get("auto_compact_deltas")
+    fold = bool(delta_mode and old_entry and k and len(old_entry["deltas"]) >= k)
+    delta_write = delta_mode and old_entry is not None and not fold
     old = None if old_entry is None or delta_write else _resolve_partition(
         ctx["lake_dir"], old_entry["paths"], old_entry["deltas"], seg_schema
     )
@@ -325,7 +344,7 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
 
     row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi,
                          n_events, delta_write)
-    return pa.Table.from_pylist([row], schema=_LINEAGE_SCHEMA)
+    return pa.Table.from_pylist([dict(row, folded=fold)], schema=_LINEAGE_SCHEMA)
 
 
 def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
@@ -453,6 +472,16 @@ def _apply_window(scan: EventLogScan, targets: list[_Target], files: list[str] |
                                         targets[tgt[i]].ctx).to_pylist()]
 
 
+@ray.remote
+def _compact_partition(lake_dir: str, part: int, paths: list[str], deltas: list[str],
+                       seg_schema: pa.Schema, rel: str) -> dict:
+    """:meth:`LakeTable.compact`'s task: resolve one partition's files and
+    write them as one segment sorted by doc_id; returns its lineage row."""
+    live = _resolve_partition(lake_dir, paths, deltas, seg_schema)
+    return _write_segment(lake_dir, part, rel, live.take(
+        pc.sort_indices(live, sort_keys=[("doc_id", "ascending")])))
+
+
 def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Target],
                    shards: dict[int, list[str]] | None = None
                    ) -> tuple[list[list[dict]], str, int | None]:
@@ -518,10 +547,12 @@ class ReplayConfig:
     #: ("lsn","descending") tiebreaker is implied.  Incompatible with
     #: delta_mode (delta resolve orders by _ab_lsn).
     merge_policy: tuple | None = None
-    #: auto-compaction: after a delta-mode apply, fold any partition whose
-    #: delta chain exceeds this many files back to one base segment —
-    #: bounds merge-on-read cost (task count and resolve work per read)
-    #: without operator intervention.  None disables.
+    #: auto-compaction: a delta-mode apply folds each partition it touches
+    #: whose chain already holds this many delta files — the merge kernel
+    #: writes base + deltas + the window's winners as one base segment in
+    #: the apply's own commit, so no chain exceeds this many files.  Bounds
+    #: merge-on-read cost (task count and resolve work per read) without
+    #: operator intervention.  None disables.
     auto_compact_deltas: int | None = None
 
 
@@ -668,6 +699,7 @@ class LakeTable:
                 for p, e in m.partitions.items()
             },
             "delta_mode": delta,
+            "auto_compact_deltas": self.config.auto_compact_deltas,
             # deterministic run id: the previous watermark + 1 (unique per
             # committed run chain; a crashed rerun reproduces the same paths)
             "run_lsn_hi": m.watermark + 1,
@@ -678,37 +710,23 @@ class LakeTable:
                shards: dict[int, list[str]] | None = None) -> dict:
         """Apply one window to this lake as the one-target case of
         :func:`_apply_targets` (rows with ``lsn > min_lsn``), then commit
-        and auto-compact."""
+        (auto-compaction is the kernel's fold, inside this one commit)."""
         m = self.manifest
         out_schema, ctx = self._plan_ctx(ev_schema, delta)
         t0 = time.perf_counter()
         (lineage,), plan, est = _apply_targets(
             source, [_Target(ctx, m.num_partitions, min_lsn)], shards)
-        return self._maybe_auto_compact(delta, self._commit(
-            lineage, m.watermark, out_schema, time.perf_counter() - t0, plan, est))
-
-    def _maybe_auto_compact(self, delta: bool, stats: dict) -> dict:
-        """Fold partitions whose delta chain outgrew
-        ``config.auto_compact_deltas`` (runs AFTER the apply's commit, so a
-        crash mid-compaction loses nothing — the chain just folds on the
-        next trigger)."""
-        k = self.config.auto_compact_deltas
-        if not (delta and k):
-            return stats
-        hot = [
-            p for p, e in self.manifest.partitions.items()
-            if len(e.delta_paths) > k
-        ]
-        if hot:
-            stats["auto_compacted"] = self.compact(hot)
-        return stats
+        return self._commit(lineage, m.watermark, out_schema, time.perf_counter() - t0,
+                            plan, est)
 
     def _commit(self, lineage: list[dict], wm: int, out_schema: pa.Schema, elapsed: float,
                 plan: str, est_rows: int | None = None) -> dict:
-        """Fold the lineage rows into the manifest and commit; the run record
-        and the stats name the ``plan`` and the row bound it came from."""
+        """Fold the lineage rows into the manifest, commit, then remove the
+        files the kernel's folds superseded.  The run record and the stats
+        name the ``plan``, its row bound and the folds (``auto_compacted``)."""
         m = self.manifest
-        run = {"plan": plan, "est_rows": est_rows}
+        run = {"plan": plan, "est_rows": est_rows,
+               "auto_compacted": sum(bool(r.get("folded")) for r in lineage)}
         if not lineage:
             return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": elapsed, **run}
 
@@ -722,8 +740,11 @@ class LakeTable:
         by_part: dict[int, list[dict]] = {}
         for r in lineage:
             by_part.setdefault(int(r["part"]), []).append(r)
+        superseded = []
         for part, rows in by_part.items():
             prev = m.partitions.get(part)
+            if rows[0].get("folded"):
+                superseded += prev.all_paths
             if rows[0].get("is_delta"):
                 assert prev is not None and len(rows) == 1
                 m.partitions[part] = PartitionEntry(
@@ -761,6 +782,7 @@ class LakeTable:
         m.watermark = int(new_wm)
         m.set_schema(out_schema)
         m.commit(self.lake_dir)
+        _remove_files(self.lake_dir, superseded)
         return {
             "applied_events": n_events,
             "partitions": len(by_part),
@@ -854,13 +876,14 @@ class LakeTable:
                 pass
         return removed
 
-    def compact(self, parts: list[int] | None = None) -> int:
+    def compact(self) -> int:
         """Fold each multi-file partition (bootstrap blocks and/or run
         deltas) into a single base segment — the bounded-write-amplification
         counterpart to delta-mode applies (write O(delta) per run, pay the
-        full rewrite once per compaction cycle).  Distributed: one Ray task
-        per partition.  Commits the manifest, then removes the superseded
-        files (after the commit lands — same discipline as vacuum).
+        full rewrite once per compaction cycle).  Distributed: one plain Ray
+        task per partition (:func:`_compact_partition`).  Commits the
+        manifest, then removes the superseded files (after the commit lands
+        — same discipline as vacuum).
         Returns the number of partitions compacted."""
         # Same discipline as vacuum (advice finding): work off the freshly
         # loaded COMMITTED manifest, not this handle's possibly-stale
@@ -871,42 +894,16 @@ class LakeTable:
         if committed is not None:
             self.manifest = committed
         m = self.manifest
-        todo = [
-            e for p, e in sorted(m.partitions.items())
-            if (parts is None or p in parts) and len(e.all_paths) > 1
-        ]
+        todo = [e for _, e in sorted(m.partitions.items()) if len(e.all_paths) > 1]
         if not todo:
             return 0
-        schema_bytes = (m.schema or pa.schema([])).serialize().to_pybytes()
-        lake_dir = self.lake_dir
-        wm = m.watermark
-
-        def compact_one(batch: pa.Table) -> pa.Table:
-            out_schema = pa.ipc.read_schema(pa.BufferReader(schema_bytes))
-            seg_schema = _seg_schema_of(out_schema)
-            rows = []
-            for r in batch.to_pylist():
-                part = int(r["part"])
-                live_t = _resolve_partition(
-                    lake_dir, r["paths"].split("\n"),
-                    r["deltas"].split("\n") if r["deltas"] else [], seg_schema
-                )
-                live_t = live_t.take(
-                    pc.sort_indices(live_t, sort_keys=[("doc_id", "ascending")])
-                )
-                rel = os.path.join(f"part={part:05d}", f"seg-{wm + 1:014d}-compact.parquet")
-                rows.append(_write_segment(lake_dir, part, rel, live_t))
-            return pa.Table.from_pylist(rows, schema=_LINEAGE_SCHEMA)
-
-        items = [
-            {"part": e.part, "paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}
+        seg_schema = _seg_schema_of(m.schema)
+        lineage = ray.get([
+            _compact_partition.remote(
+                self.lake_dir, e.part, e.paths, e.delta_paths, seg_schema,
+                os.path.join(f"part={e.part:05d}", f"seg-{m.watermark + 1:014d}-compact.parquet"))
             for e in todo
-        ]
-        lineage = (
-            ray.data.from_items(items)
-            .map_batches(compact_one, batch_format="pyarrow", batch_size=1)
-            .take_all()
-        )
+        ])
         old_files = []
         for r in lineage:
             e = m.partitions[int(r["part"])]
@@ -917,11 +914,7 @@ class LakeTable:
                 n_events=e.n_events, checksum=int(r["checksum"]),
             )
         m.commit(self.lake_dir)
-        for rel in old_files:  # only after the commit landed
-            try:
-                os.remove(os.path.join(self.lake_dir, rel))
-            except FileNotFoundError:
-                pass
+        _remove_files(self.lake_dir, old_files)  # only after the commit landed
         return len(lineage)
 
     # -- read path ---------------------------------------------------------

@@ -30,6 +30,8 @@ from test_nested_substream import test_shared_wal_global_state  # noqa: F401
 from test_replay import (  # noqa: F401
     fixtures,
     test_auto_compaction_bounds_delta_chain,
+    test_auto_compaction_crash_before_removal,
+    test_auto_compaction_equals_delta_then_compact,
     test_chunked_replay_matches_single_shot,
     test_chunked_replay_survives_lsn_gap,
     test_delta_mode_matches_full_merge,
@@ -109,3 +111,27 @@ def test_sync_shared_run_record_names_plan(forced_plan, tmp_path):
         assert (st["plan"], st["est_rows"]) == (forced_plan, ev.num_rows)
         run = Manifest.load(eng.lake(n).lake_dir).runs[-1]
         assert (run["plan"], run["est_rows"]) == (forced_plan, ev.num_rows)
+
+
+def test_run_record_counts_folds(forced_plan, tmp_path, capsys):
+    """A delta-mode apply that folds reports how many partitions it folded
+    (``auto_compacted``) in its stats and its run record, and ``status``
+    prints it under ``last_run``; an apply that folds nothing reports 0."""
+    from airbyte_ray.cli import main as cli_main
+
+    base = gen.gen_base(100, seed=3)
+    lake = LakeTable(str(tmp_path / "lake"), ReplayConfig(num_partitions=4, delta_mode=True,
+                                                          auto_compact_deltas=1))
+    lake.init_snapshot(ray.data.from_arrow(base))
+    lsn = 1
+    for want in (0, 4):  # a delta per partition, then every chain folds
+        ev = gen.gen_events(400, 100, seed=4 + want, start_lsn=lsn)
+        lsn = gen.next_lsn(ev)
+        p = tmp_path / f"ev{want}.parquet"
+        pq.write_table(ev, p)
+        st = lake.apply_log(str(p))
+        assert (st["plan"], st["auto_compacted"]) == (forced_plan, want)
+        assert Manifest.load(lake.lake_dir).runs[-1]["auto_compacted"] == want
+    assert all(not e.delta_paths for e in lake.manifest.partitions.values())
+    assert cli_main(["status", "--lake", lake.lake_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["last_run"]["auto_compacted"] == 4

@@ -235,17 +235,19 @@ def test_sync_shared_matches_apply_log(tmp_path):
     """Each stream of a shared WAL lands exactly as if it were applied
     alone: ``sync_shared`` writes byte-identical segment files and equal
     partition entries to ``apply_log`` over the stream's own filtered WAL —
-    a full-mode and a delta-mode stream, bootstrapped, over two syncs."""
+    a full-mode and a delta-mode stream, bootstrapped, over three syncs.
+    The delta stream auto-compacts (K=1): the second sync folds its chains,
+    the third layers a delta again."""
     cfgs = {"a": ReplayConfig(num_partitions=4),
-            "b": ReplayConfig(num_partitions=4, delta_mode=True)}
+            "b": ReplayConfig(num_partitions=4, delta_mode=True, auto_compact_deltas=1)}
     base, snaps = {}, {}
     for n, seed in (("a", 91), ("b", 92)):
         base[n] = gen.gen_base(80, seed=seed)
         snaps[n] = str(tmp_path / f"snap_{n}.parquet")
         pq.write_table(base[n], snaps[n])
-    # two WAL windows; each holds both streams' events under one global lsn
+    # three WAL windows; each holds both streams' events under one global lsn
     wals, own, lsn = [], {n: [] for n in cfgs}, 0
-    for w in range(2):
+    for w in range(3):
         parts = []
         for n, seed in (("a", 93), ("b", 94)):
             ev = gen.gen_events(300, 80, seed=seed + 10 * w, start_lsn=lsn)
@@ -257,8 +259,9 @@ def test_sync_shared_matches_apply_log(tmp_path):
 
     eng = CdcCatalogEngine(str(tmp_path / "root"), [
         CdcStreamConfig(n, wals[0], snapshot_path=snaps[n], replay=c) for n, c in cfgs.items()])
-    for wal in wals:
-        assert eng.sync_shared(wal)["applied_events"] > 0
+    outs = [eng.sync_shared(wal) for wal in wals]
+    assert all(o["applied_events"] > 0 for o in outs)
+    assert [o["streams"]["b"]["auto_compacted"] for o in outs] == [0, 4, 0]
 
     for n, cfg in cfgs.items():
         alone = LakeTable(str(tmp_path / f"alone_{n}"), cfg)

@@ -589,34 +589,123 @@ def test_cli_apply_chunk_delta(fixtures, tmp_path, capsys):
     _assert_matches_oracle(LakeTable(lake_dir), base, [events])
 
 
+def _epochs(events, tmp_path, n: int) -> list[str]:
+    """``events`` cut into ``n`` consecutive lsn windows, one file each."""
+    lsn = events["lsn"].to_numpy()
+    cuts = np.quantile(lsn, np.linspace(0, 1, n + 1)).astype(np.int64)
+    cuts[0] -= 1  # the first window holds the smallest lsn too
+    paths = []
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        paths.append(str(tmp_path / f"ep{i}.parquet"))
+        pq.write_table(events.filter(pc.and_(pc.greater(events["lsn"], int(lo)),
+                                             pc.less_equal(events["lsn"], int(hi)))), paths[-1])
+    return paths
+
+
 def test_auto_compaction_bounds_delta_chain(fixtures, tmp_path):
     """With auto_compact_deltas=K, a long run of delta-mode applies never
-    lets any partition's chain exceed K files for long — the chain folds
-    automatically after the apply that crosses K, the logical table stays
-    oracle-exact, and read task counts stay bounded."""
+    lets any partition's chain exceed K files: the apply that would grow a
+    chain past K folds it instead.  A folded partition gets no delta file;
+    its entry is one ``seg-<run>`` file with no deltas; the files it
+    superseded are gone once the commit lands; the stats and the run record
+    count the folds; the logical table stays oracle-exact."""
     base, events, ev_path, lake_dir = fixtures
     lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4,
                                             auto_compact_deltas=2))
     lake.init_snapshot(ray.data.from_arrow(base))
 
-    # 6 delta epochs over the same key space
-    lsn = events["lsn"].to_numpy()
-    cuts = np.quantile(lsn, np.linspace(0, 1, 7)).astype(np.int64)
-    applied = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        e = events.filter(
-            pc.and_(pc.greater(events["lsn"], int(lo)) if applied else
-                    pc.greater_equal(events["lsn"], int(lo)),
-                    pc.less_equal(events["lsn"], int(hi)))
-        )
-        p = tmp_path / f"ep{lo}.parquet"
-        pq.write_table(e, p)
-        st = lake.apply_log(str(p), delta=True)
-        applied.append(st)
+    folds = 0
+    for p in _epochs(events, tmp_path, 6):  # 6 delta epochs, same key space
+        before = Manifest.load(lake_dir)
+        run = before.watermark + 1
+        st = lake.apply_log(p, delta=True)
         m = Manifest.load(lake_dir)
-        assert all(len(e2.delta_paths) <= 2 for e2 in m.partitions.values())
-    assert any("auto_compacted" in st for st in applied)
+        assert all(len(e.delta_paths) <= 2 for e in m.partitions.values())
+        folded = [q for q, e in m.partitions.items()
+                  if len(before.partitions[q].delta_paths) >= 2 and e != before.partitions[q]]
+        assert st["auto_compacted"] == m.runs[-1]["auto_compacted"] == len(folded)
+        for q in folded:
+            e = m.partitions[q]
+            assert (e.paths, e.delta_paths) == ([f"part={q:05d}/seg-{run:014d}.parquet"], [])
+            assert not glob.glob(os.path.join(lake_dir, f"part={q:05d}", "delta-*"))
+            assert not any(os.path.exists(os.path.join(lake_dir, f))
+                           for f in before.partitions[q].all_paths)
+        folds += len(folded)
+    assert folds > 0
+    assert len(m.runs) == 7  # the bootstrap + one commit per apply
     _assert_matches_oracle(lake, base, [events])
+
+
+def test_auto_compaction_equals_delta_then_compact(fixtures, tmp_path):
+    """The apply that folds writes what a delta apply followed by
+    ``compact()`` writes: byte-identical segments and equal partition
+    entries, all but the file name (``seg-<run>`` vs
+    ``seg-<watermark+1>-compact``)."""
+    import dataclasses
+    import shutil
+
+    base, events, ev_path, lake_dir = fixtures
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, delta_mode=True,
+                                            auto_compact_deltas=2))
+    lake.init_snapshot(ray.data.from_arrow(base))
+    *head, last = _epochs(events, tmp_path, 3)
+    for p in head:
+        assert lake.apply_log(p)["auto_compacted"] == 0
+    copy = str(tmp_path / "copy")
+    shutil.copytree(lake_dir, copy)
+
+    # every partition holds 2 deltas and the window touches all of them
+    assert lake.apply_log(last)["auto_compacted"] == 4
+    plain = LakeTable(copy, ReplayConfig(num_partitions=4, delta_mode=True))
+    plain.apply_log(last)
+    assert plain.compact() == 4
+
+    mf, mp = Manifest.load(lake_dir), Manifest.load(copy)
+    assert (mf.watermark, mf.schema_b64) == (mp.watermark, mp.schema_b64)
+    drop = ("sec", "auto_compacted")
+    assert ({k: v for k, v in mf.runs[-1].items() if k not in drop}
+            == {k: v for k, v in mp.runs[-1].items() if k not in drop})
+    for q, ef in mf.partitions.items():
+        ep = mp.partitions[q]
+        assert dataclasses.replace(ef, paths=[]) == dataclasses.replace(ep, paths=[])
+        assert ep.paths == [f"part={q:05d}/seg-{mp.watermark + 1:014d}-compact.parquet"]
+        with open(os.path.join(lake_dir, ef.paths[0]), "rb") as f, \
+                open(os.path.join(copy, ep.paths[0]), "rb") as g:
+            assert f.read() == g.read(), q
+    _assert_matches_oracle(lake, base, [events])
+
+
+def test_auto_compaction_crash_before_removal(fixtures, tmp_path, monkeypatch):
+    """A crash after the folding apply's commit, before it removed the
+    files the fold superseded, loses nothing: ``read()`` matches the oracle
+    and ``vacuum()`` sweeps exactly the leftovers."""
+    from airbyte_ray.pipelines import replay
+
+    base, events, ev_path, lake_dir = fixtures
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4, delta_mode=True,
+                                            auto_compact_deltas=1))
+    lake.init_snapshot(ray.data.from_arrow(base))
+    first, second = _epochs(events, tmp_path, 2)
+    lake.apply_log(first)  # one delta per partition
+
+    def crash(lake_dir, rels):
+        raise RuntimeError("crash before removal")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(replay, "_remove_files", crash)
+        with pytest.raises(RuntimeError, match="crash before removal"):
+            lake.apply_log(second)
+
+    reopened = LakeTable(lake_dir)
+    assert reopened.manifest.runs[-1]["auto_compacted"] > 0
+    _assert_read_matches_table(reopened)
+    _assert_matches_oracle(reopened, base, [events])
+    listed = set(reopened.segment_paths())
+    leftovers = set(glob.glob(os.path.join(lake_dir, "part=*", "*.parquet"))) - listed
+    assert leftovers
+    assert reopened.vacuum() == len(leftovers)
+    assert set(glob.glob(os.path.join(lake_dir, "part=*", "*.parquet"))) == listed
+    _assert_matches_oracle(reopened, base, [events])
 
 
 def test_spill_with_custom_policy_and_redelivery(tmp_path):
