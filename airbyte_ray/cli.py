@@ -192,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                 {
                     "watermark": m.watermark,
                     "num_partitions": m.num_partitions,
+                    "merge_policy": m.merge_policy,
                     "partitions_live": len(m.partitions),
                     "rows": m.lineage_rows(),
                     "runs": len(m.runs),

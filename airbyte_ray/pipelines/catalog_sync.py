@@ -157,8 +157,8 @@ class CdcCatalogEngine:
             cols = self.streams[n].columns
             ev_schema = pa.schema([f for f in scan.schema if f.name != stream_col
                                    and (cols is None or f.name in cols)])
-            # each stream's own write mode; a delta stream under a custom
-            # merge policy raises here, before the apply writes any segment
+            # each stream's own write mode; a merge policy column the lake
+            # lacks raises here, before the apply writes any segment
             out_schemas[n], ctx = lakes[n]._plan_ctx(ev_schema, lakes[n].config.delta_mode)
             targets.append(_Target(ctx, lakes[n].manifest.num_partitions, wms[n],
                                    (stream_col, n)))

@@ -18,7 +18,7 @@ the lake's watermark; ``stream == name`` in a shared WAL):
       route + per-target combiner (_pre_reduce)    # per-batch LWW
         → groupby([target, part]).map_groups(_merge_partition)
     → lineage rows (≤ P small rows per target) → each lake's manifest.commit()
-      → remove the files the folded partitions superseded
+      → remove every file a new partition entry no longer lists
 
 ``apply_log`` is the one-target case; ``apply_partitioned`` runs one window
 task per shard and raises before any write if a shard holds another
@@ -27,9 +27,11 @@ stream.  The kernel (``_merge_partition``) writes both modes: the full
 rewrite (copy-on-write) and a delta file resolved at read (merge-on-read);
 in delta mode it folds a chain that already holds ``auto_compact_deltas``
 files with the full rewrite, so auto-compaction is the apply's own commit.
-The winner rule lives in one place — ``_policy_order`` ranks rows,
-``_first_per_key`` takes each key's first — shared by the combiner
-(``lww_reduce``), the kernel and merge-on-read (``_resolve_partition``).
+Committed rows meet new ones in ONE place, ``_resolve_partition`` (full
+rewrite, fold, ``compact()``, merge-on-read): window events ++ deltas
+(newest first) ++ base, ranked under the merge policy the lake's manifest
+records — ``_policy_order`` + ``_first_per_key``, the combiner's
+(``lww_reduce``) rule too — so delta mode takes any policy.
 
 Why this shape at 100 TB:
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -98,18 +100,25 @@ def stable_hash(ids: pa.ChunkedArray | pa.Array | np.ndarray) -> np.ndarray:
 DEFAULT_POLICY: tuple = (("lsn", "descending"),)
 
 
-def _policy_order(t: pa.Table, policy: tuple | None) -> np.ndarray:
-    """Row indices of ``t`` ranked best-first under ``policy`` — an ordered
-    ``((col, direction), …)`` comparator chain (default: max lsn).  A
-    trailing ``("lsn", "descending")`` tiebreaker is appended when absent so
-    the ranking is total (identical redeliveries still collapse)."""
-    policy = tuple(policy) if policy else DEFAULT_POLICY
-    if not any(c == "lsn" for c, _ in policy):
-        policy = policy + (("lsn", "descending"),)
-    if len(policy) == 1:
-        order = pc.array_sort_indices(t[policy[0][0]], order=policy[0][1])
+def _full_policy(policy) -> tuple:
+    """A ``((col, direction), …)`` comparator chain (None: max lsn) with a
+    trailing lsn tiebreaker, so the ranking is total (redeliveries collapse)."""
+    policy = tuple(map(tuple, policy or DEFAULT_POLICY))
+    return policy if any(c == "lsn" for c, _ in policy) else policy + (("lsn", "descending"),)
+
+
+def _policy_order(t: pa.Table, policy: tuple | None, lsn: str = "lsn") -> np.ndarray:
+    """Row indices of ``t`` ranked best-first (stably) under ``policy``
+    (see :func:`_full_policy`), its ``lsn`` read from column ``lsn``
+    (``_ab_lsn`` in segment space); a column ``t`` lacks ranks as null."""
+    policy = _full_policy(policy)
+    cols = [t[lsn] if c == "lsn" else t[c] if c in t.schema.names else pa.nulls(t.num_rows)
+            for c, _ in policy]
+    if len(cols) == 1:
+        order = pc.array_sort_indices(cols[0], order=policy[0][1])
     else:
-        order = pc.sort_indices(t, sort_keys=list(policy))
+        order = pc.sort_indices(pa.table({str(i): c for i, c in enumerate(cols)}),
+                                sort_keys=[(str(i), d) for i, (_, d) in enumerate(policy)])
     return order.to_numpy().astype(np.int64)
 
 
@@ -183,31 +192,50 @@ def _seg_schema_of(out_schema: pa.Schema) -> pa.Schema:
 
 
 def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
-                       seg_schema: pa.Schema) -> pa.Table:
-    """The live state of one partition: concat of base files (disjoint key
-    sets) with any delta files LWW-resolved on top (max ``_ab_lsn`` per
-    doc_id wins; surviving tombstones drop).  Runs inside the per-partition
-    task — never on the driver for the whole table."""
-    tbls = [conform_table(pq.read_table(os.path.join(lake_dir, p)), seg_schema) for p in paths]
-    base = pa.concat_tables(tbls) if tbls else seg_schema.empty_table()
-    if not deltas:
-        return base
+                       seg_schema: pa.Schema, policy: tuple,
+                       window: pa.Table | None = None) -> tuple[pa.Table, np.ndarray | None]:
+    """Where committed rows meet new ones: rank one partition's rows under
+    the lake's merge ``policy`` — for a write the ``window``'s events in
+    segment space (tombstones flagged ``_ab_deleted``), then its deltas
+    newest first, then its base, so a tie goes to the newer write (a
+    backfill row stamped at the watermark replaces the row it ties).
+    Returns the rows (segment schema) and the indices of the live winners,
+    each key's first unless a tombstone, for the caller's ONE ``take`` —
+    None when base files alone (disjoint keys) make every row live.  Runs
+    in the per-partition task, never on the driver for the whole table."""
+    def read(rel: str, schema: pa.Schema) -> pa.Table:
+        return conform_table(pq.read_table(os.path.join(lake_dir, rel)), schema)
+
+    base = [read(p, seg_schema) for p in paths]
+    if window is None and not deltas:
+        return (pa.concat_tables(base) if base else seg_schema.empty_table()), None
     dead_schema = pa.schema(list(seg_schema) + [pa.field(DELETED_COL, pa.bool_())])
-    parts = [
-        base.append_column(DELETED_COL, pa.array(np.zeros(base.num_rows, bool)))
-    ] if base.num_rows else []
-    for p in deltas:
-        parts.append(conform_table(pq.read_table(os.path.join(lake_dir, p)), dead_schema))
-    allt = pa.concat_tables(parts) if parts else dead_schema.empty_table()
-    if allt.num_rows == 0:
-        return seg_schema.empty_table()
-    # LWW by _ab_lsn per doc_id (lsns are disjoint across files — strictly
-    # increasing per apply), then drop shadowed tombstones
-    order = pc.array_sort_indices(allt[LSN_COL], order="descending").to_numpy()
-    keep_idx, _, _ = _first_per_key(allt["doc_id"].to_numpy(zero_copy_only=False), order)
-    live = allt.take(pa.array(keep_idx))
-    live = live.filter(pc.invert(pc.fill_null(live[DELETED_COL], False)))
-    return live.drop_columns([DELETED_COL])
+    base = [b.append_column(DELETED_COL, pa.array(np.zeros(b.num_rows, bool))) for b in base]
+    news = (([] if window is None else [conform_table(window, dead_schema)])
+            + [read(p, dead_schema) for p in reversed(deltas)])
+    # nested field names (list<item> vs list<element>) follow the oldest
+    # input, so a rewrite keeps the names its partition's files had
+    rows = pa.Table.from_arrays(pa.concat_tables(news + base).columns,
+                                schema=(base or news[::-1])[0].schema)
+    idx, _, _ = _first_per_key(rows["doc_id"].to_numpy(zero_copy_only=False),
+                               _policy_order(rows, policy, lsn=LSN_COL))
+    dead = pc.fill_null(rows[DELETED_COL], False).to_numpy(zero_copy_only=False)
+    return rows.drop_columns([DELETED_COL]), idx[~dead[idx]]
+
+
+def _live_rows(lake_dir: str, paths: list[str], deltas: list[str], seg_schema: pa.Schema,
+               policy: tuple, schema: pa.Schema) -> pa.Table:
+    """One partition's live rows (merge-on-read), conformed to ``schema``."""
+    rows, idx = _resolve_partition(lake_dir, paths, deltas, seg_schema, policy)
+    return conform_table(rows if idx is None else rows.take(pa.array(np.sort(idx))), schema)
+
+
+def _take_sorted(rows: pa.Table, idx: np.ndarray | None) -> pa.Table:
+    """Rows ``idx`` of ``rows`` (all when None) sorted by doc_id — in the
+    REAL key type ("10" < "9" as strings) — through one ``take``."""
+    keys = rows["doc_id"] if idx is None else rows["doc_id"].take(pa.array(idx))
+    order = pc.array_sort_indices(keys).to_numpy()
+    return rows.take(pa.array(order if idx is None else idx[order]))
 
 
 _LINEAGE_SCHEMA = pa.schema(
@@ -259,21 +287,17 @@ def _remove_files(lake_dir: str, rels: list[str]) -> None:
 
 def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     """The merge kernel: apply one hash partition's change events ``t`` and
-    write its new segment — the full rewrite (copy-on-write) or, in delta
-    mode over an existing base, only this run's winners as a delta file
-    resolved at read (merge-on-read).  A delta chain that already holds
-    ``ctx["auto_compact_deltas"]`` files takes the full rewrite instead
-    (lineage ``folded``).  Returns a one-row lineage table.  Runs on one
-    (target, part) slice of a window: raw events in the window task,
-    combiner output after the exchange (``n_src``/``lsn_seen`` columns
-    carry what the combiner folded away).
-
-    Winners are picked as INDICES; the payload moves through exactly ONE
-    ``take``.  Full write: the kept old rows and the live winners are
-    composed into one index array over a zero-copy concat of (old segment,
-    schema-lifted events), sorted by doc_id.  A delta write never reads
-    the old partition (O(delta) apply cost)."""
-    policy = tuple(map(tuple, ctx["policy"])) if ctx.get("policy") else None
+    write its new segment — the full rewrite (copy-on-write: the live
+    winners of :func:`_resolve_partition` over the events and the
+    committed rows, sorted by doc_id, through ONE ``take``) or, in delta
+    mode over an existing base, only the events' winners as a delta file
+    resolved at read (merge-on-read; never reads the old partition).  A
+    delta chain that already holds ``ctx["auto_compact_deltas"]`` files
+    takes the full rewrite instead (lineage ``folded``).  Returns a one-row
+    lineage table.  Runs on one (target, part) slice of a window: raw
+    events in the window task, combiner output after the exchange
+    (``n_src``/``lsn_seen`` columns carry what the combiner folded away)."""
+    policy = ctx.get("policy")
     delta_mode = bool(ctx.get("delta_mode"))
     out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
     seg_schema = _seg_schema_of(out_schema)
@@ -292,54 +316,22 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     k = ctx.get("auto_compact_deltas")
     fold = bool(delta_mode and old_entry and k and len(old_entry["deltas"]) >= k)
     delta_write = delta_mode and old_entry is not None and not fold
-    old = None if old_entry is None or delta_write else _resolve_partition(
-        ctx["lake_dir"], old_entry["paths"], old_entry["deltas"], seg_schema
-    )
-    if policy and old is not None:
-        # custom comparator: an OLD row may beat an incoming change (e.g.
-        # out-of-order cursor updates under `cursor desc, lsn desc`), so the
-        # touched old rows re-enter event space (lsn=_ab_lsn, op='update')
-        # and the policy re-ranks — the reference's whole-raw-table dedup
-        # window semantics
-        touched = old.filter(pc.is_in(old["doc_id"], value_set=t["doc_id"].combine_chunks()))
-        if touched.num_rows:
-            touched = touched.append_column("lsn", touched[LSN_COL]).append_column(
-                "op", pa.array(["update"] * touched.num_rows))
-            t = pa.concat_tables([t, conform_table(touched, t.schema)])
-            win_idx, _, _ = _first_per_key(t["doc_id"].to_numpy(zero_copy_only=False),
-                                           _policy_order(t, policy))
-
-    # lift the events into segment space: metadata-only ops (column select /
-    # null-fill / cast), no row gather
+    # lift the events into segment space: metadata-only ops, no row gather
     ts_type = pa.timestamp("us", tz="UTC")
     ev = conform_table(t, out_schema).append_column(LSN_COL, t["lsn"])
     ev = ev.append_column(
         CDC_UPDATED_AT, t[CDC_UPDATED_AT].cast(ts_type) if CDC_UPDATED_AT in names
         else pa.nulls(t.num_rows, ts_type))
-    ev = conform_table(ev, seg_schema)
-    win_op = t["op"].take(pa.array(win_idx))
+    ev = conform_table(ev, seg_schema).append_column(DELETED_COL, pc.equal(t["op"], "delete"))
 
     if delta_write:
         # tombstones stay as flagged rows so merge-on-read can shadow the base
-        new_seg = ev.take(pa.array(win_idx)).append_column(
-            DELETED_COL, pc.equal(win_op, "delete").combine_chunks())
+        new_seg = ev.take(pa.array(win_idx))
         rel = os.path.join(f"part={part:05d}", f"delta-{ctx['run_lsn_hi']:014d}.parquet")
     else:
-        # tombstone winners drop but still count as touched keys; null-op
-        # winners drop too.  Touched keys are fully replaced: changes always
-        # carry lsn > committed watermark >= old lsn
-        live = pc.fill_null(pc.invert(pc.equal(win_op, "delete")), False)
-        idx = win_idx[live.to_numpy(zero_copy_only=False)]
-        if old is not None:
-            touched = t["doc_id"].take(pa.array(win_idx)).combine_chunks()
-            keep = pc.invert(pc.is_in(old["doc_id"], value_set=touched))
-            idx = np.concatenate([np.flatnonzero(keep.to_numpy(zero_copy_only=False)),
-                                  idx + old.num_rows])
-            ev = pa.concat_tables([old, ev])
-        # sort in the REAL key type: a cast to string would order int keys
-        # lexicographically ("10" < "9")
-        perm = pc.array_sort_indices(ev["doc_id"].take(pa.array(idx))).to_numpy()
-        new_seg = ev.take(pa.array(idx[perm]))
+        old = old_entry or {"paths": [], "deltas": []}
+        new_seg = _take_sorted(*_resolve_partition(ctx["lake_dir"], old["paths"], old["deltas"],
+                                                   seg_schema, policy, ev))
         rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_lsn_hi']:014d}.parquet")
 
     row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi,
@@ -474,12 +466,11 @@ def _apply_window(scan: EventLogScan, targets: list[_Target], files: list[str] |
 
 @ray.remote
 def _compact_partition(lake_dir: str, part: int, paths: list[str], deltas: list[str],
-                       seg_schema: pa.Schema, rel: str) -> dict:
+                       seg_schema: pa.Schema, policy: tuple, rel: str) -> dict:
     """:meth:`LakeTable.compact`'s task: resolve one partition's files and
     write them as one segment sorted by doc_id; returns its lineage row."""
-    live = _resolve_partition(lake_dir, paths, deltas, seg_schema)
-    return _write_segment(lake_dir, part, rel, live.take(
-        pc.sort_indices(live, sort_keys=[("doc_id", "ascending")])))
+    rows = _take_sorted(*_resolve_partition(lake_dir, paths, deltas, seg_schema, policy))
+    return _write_segment(lake_dir, part, rel, rows)
 
 
 def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Target],
@@ -543,9 +534,8 @@ class ReplayConfig:
     #: pluggable merge comparator (SURVEY §2.12): ordered (column, direction)
     #: chain deciding the winning row per key — the reference's
     #: `cursor desc, _ab_cdc_updated_at desc, log_pos desc` ORDER BY
-    #: (stream_processor.py:750-805).  None → max-lsn LWW.  A trailing
-    #: ("lsn","descending") tiebreaker is implied.  Incompatible with
-    #: delta_mode (delta resolve orders by _ab_lsn).
+    #: (stream_processor.py:750-805).  None → max-lsn LWW; a trailing
+    #: ("lsn","descending") tiebreaker is implied.  Fixed at lake creation.
     merge_policy: tuple | None = None
     #: auto-compaction: a delta-mode apply folds each partition it touches
     #: whose chain already holds this many delta files — the merge kernel
@@ -570,11 +560,18 @@ class LakeTable:
         m = Manifest.load(lake_dir)
         if m is None:
             cfg = config or ReplayConfig()
-            m = Manifest(num_partitions=cfg.num_partitions)
+            m = Manifest(cfg.num_partitions, merge_policy=_full_policy(cfg.merge_policy))
         elif config is not None and config.num_partitions != m.num_partitions:
             raise ValueError("num_partitions is fixed at lake creation")
+        elif config is not None and _full_policy(config.merge_policy) != _full_policy(m.merge_policy):
+            raise ValueError(f"merge_policy is fixed at lake creation: {m.merge_policy}")
         self.manifest = m
-        self.config = config or ReplayConfig(m.num_partitions)
+        self.config = config or ReplayConfig(m.num_partitions, merge_policy=self.policy)
+
+    @property
+    def policy(self) -> tuple:
+        """The merge policy the lake's manifest records."""
+        return _full_policy(self.manifest.merge_policy)
 
     # -- write path --------------------------------------------------------
     def init_snapshot(self, base: ray.data.Dataset) -> dict:
@@ -679,20 +676,21 @@ class LakeTable:
 
     def _plan_ctx(self, ev_schema: pa.Schema, delta: bool) -> tuple[pa.Schema, dict]:
         """The unified output schema (lake schema ∪ incoming payload) and
-        the merge kernel's ctx, shared by every entry point.  Rejects delta
-        mode under a custom merge policy on the driver, before any write."""
+        the merge kernel's ctx, shared by every entry point.  A merge policy
+        column that is neither ``lsn`` nor a segment column raises here, on
+        the driver, before any write."""
         m = self.manifest
-        if delta and self.config.merge_policy:
-            raise ValueError("delta_mode requires the default lsn merge policy "
-                             "(delta resolve orders by _ab_lsn)")
         payload = pa.schema([  # doc_id + payload columns
             pa.field(n, t) for n, t in zip(ev_schema.names, ev_schema.types)
             if n not in _META_COLS and n != "op"
         ])
         out_schema = payload if m.schema is None else unify_schemas(m.schema, payload)
+        known = {"lsn", *_seg_schema_of(out_schema).names} - {LSN_COL}
+        if unknown := [c for c, _ in self.policy if c not in known]:
+            raise ValueError(f"merge_policy columns {unknown} are not in {sorted(known)}")
         return out_schema, {
             "lake_dir": self.lake_dir,
-            "policy": self.config.merge_policy,
+            "policy": self.policy,
             "schema": out_schema.serialize().to_pybytes(),
             "old_segments": {
                 p: {"paths": e.paths, "deltas": e.delta_paths}
@@ -721,9 +719,9 @@ class LakeTable:
 
     def _commit(self, lineage: list[dict], wm: int, out_schema: pa.Schema, elapsed: float,
                 plan: str, est_rows: int | None = None) -> dict:
-        """Fold the lineage rows into the manifest, commit, then remove the
-        files the kernel's folds superseded.  The run record and the stats
-        name the ``plan``, its row bound and the folds (``auto_compacted``)."""
+        """Fold the lineage rows into the manifest and :meth:`_install` it.
+        The run record and the stats name the ``plan``, its row bound and
+        the folds (``auto_compacted``)."""
         m = self.manifest
         run = {"plan": plan, "est_rows": est_rows,
                "auto_compacted": sum(bool(r.get("folded")) for r in lineage)}
@@ -740,16 +738,13 @@ class LakeTable:
         by_part: dict[int, list[dict]] = {}
         for r in lineage:
             by_part.setdefault(int(r["part"]), []).append(r)
-        superseded = []
+        entries = {}
         for part, rows in by_part.items():
             prev = m.partitions.get(part)
-            if rows[0].get("folded"):
-                superseded += prev.all_paths
             if rows[0].get("is_delta"):
                 assert prev is not None and len(rows) == 1
-                m.partitions[part] = PartitionEntry(
-                    part=part,
-                    paths=prev.paths,
+                entries[part] = replace(
+                    prev,
                     delta_paths=prev.delta_paths + [rows[0]["path"]],
                     rows=prev.rows + int(rows[0]["rows"]),
                     lsn_lo=int(rows[0]["lsn_lo"]),
@@ -758,7 +753,7 @@ class LakeTable:
                     checksum=int(rows[0]["checksum"]),
                 )
             else:
-                m.partitions[part] = PartitionEntry(
+                entries[part] = PartitionEntry(
                     part=part,
                     paths=sorted(r["path"] for r in rows),
                     delta_paths=[],
@@ -781,8 +776,7 @@ class LakeTable:
         )
         m.watermark = int(new_wm)
         m.set_schema(out_schema)
-        m.commit(self.lake_dir)
-        _remove_files(self.lake_dir, superseded)
+        self._install(entries)
         return {
             "applied_events": n_events,
             "partitions": len(by_part),
@@ -790,6 +784,17 @@ class LakeTable:
             "sec": elapsed,
             **run,
         }
+
+    def _install(self, entries: dict[int, PartitionEntry]) -> None:
+        """Commit the manifest with ``entries`` replacing their partitions',
+        then remove every file an old entry listed and its new one does not
+        (only after the commit landed; :meth:`vacuum` sweeps a crash's)."""
+        m = self.manifest
+        gone = [rel for part, e in entries.items() if part in m.partitions
+                for rel in m.partitions[part].all_paths if rel not in e.all_paths]
+        m.partitions.update(entries)
+        m.commit(self.lake_dir)
+        _remove_files(self.lake_dir, gone)
 
     def apply_partitioned(self, root: str, delta: bool | None = None) -> dict:
         """Apply a key-partitioned change log laid out as
@@ -827,8 +832,10 @@ class LakeTable:
         return self._apply(scan.schema, delta, scan, None, shards)
 
     def vacuum(self) -> int:
-        """Delete segment files not referenced by the committed manifest
-        (orphans from crashed runs + superseded segments).  Segments whose
+        """Delete segment files not referenced by the committed manifest.
+        Every commit already removes the files it superseded, so this sweeps
+        only what a crash leaves: a run's segments whose commit never landed,
+        and superseded files whose removal never ran.  Segments whose
         run-lsn suffix is NEWER than the committed watermark are skipped:
         they may belong to an apply in flight whose manifest commit hasn't
         landed yet — deleting them would leave that run's commit pointing at
@@ -881,15 +888,12 @@ class LakeTable:
         deltas) into a single base segment — the bounded-write-amplification
         counterpart to delta-mode applies (write O(delta) per run, pay the
         full rewrite once per compaction cycle).  Distributed: one plain Ray
-        task per partition (:func:`_compact_partition`).  Commits the
-        manifest, then removes the superseded files (after the commit lands
-        — same discipline as vacuum).
+        task per partition (:func:`_compact_partition`), resolving under the
+        lake's merge policy.  Commits the manifest, then removes the
+        superseded files (:meth:`_install`, as every apply does).
         Returns the number of partitions compacted."""
-        # Same discipline as vacuum (advice finding): work off the freshly
-        # loaded COMMITTED manifest, not this handle's possibly-stale
-        # in-memory copy — a stale handle would overwrite partition entries
-        # another process committed and then delete files that newer commit
-        # still references.
+        # as vacuum: work off the COMMITTED manifest — a stale handle would
+        # clobber another process's newer entries and delete their files
         committed = Manifest.load(self.lake_dir)
         if committed is not None:
             self.manifest = committed
@@ -900,21 +904,13 @@ class LakeTable:
         seg_schema = _seg_schema_of(m.schema)
         lineage = ray.get([
             _compact_partition.remote(
-                self.lake_dir, e.part, e.paths, e.delta_paths, seg_schema,
+                self.lake_dir, e.part, e.paths, e.delta_paths, seg_schema, self.policy,
                 os.path.join(f"part={e.part:05d}", f"seg-{m.watermark + 1:014d}-compact.parquet"))
             for e in todo
         ])
-        old_files = []
-        for r in lineage:
-            e = m.partitions[int(r["part"])]
-            old_files.extend(e.all_paths)
-            m.partitions[int(r["part"])] = PartitionEntry(
-                part=e.part, paths=[r["path"]], delta_paths=[],
-                rows=int(r["rows"]), lsn_lo=e.lsn_lo, lsn_hi=e.lsn_hi,
-                n_events=e.n_events, checksum=int(r["checksum"]),
-            )
-        m.commit(self.lake_dir)
-        _remove_files(self.lake_dir, old_files)  # only after the commit landed
+        self._install({int(r["part"]): replace(
+            m.partitions[int(r["part"])], paths=[r["path"]], delta_paths=[],
+            rows=int(r["rows"]), checksum=int(r["checksum"])) for r in lineage})
         return len(lineage)
 
     # -- read path ---------------------------------------------------------
@@ -928,22 +924,22 @@ class LakeTable:
     def read(self, payload_only: bool = True) -> ray.data.Dataset:
         """The committed table as a Dataset (only manifest-visible segments).
         One task per manifest partition reads the files the manifest lists
-        for it (no footer or discovery pass), LWW-resolves its delta files on
-        top when it has any (merge-on-read), and conforms the result to the
-        current schema, so segments written before a schema change read
-        correctly.  One block per partition, in ascending partition order."""
+        for it (no footer or discovery pass), resolves its delta files with
+        its base under the lake's merge policy when it has any
+        (merge-on-read), and conforms the result to the current schema, so
+        segments written before a schema change read correctly.  One block
+        per partition, in ascending partition order."""
         m = self.manifest
         schema = m.schema
         if not m.partitions:
             return ray.data.from_arrow((schema or pa.schema([])).empty_table())
-        seg_schema = _seg_schema_of(schema)
+        lake_dir, seg_schema, policy = self.lake_dir, _seg_schema_of(schema), self.policy
         target = schema if payload_only else seg_schema
-        lake_dir = self.lake_dir
 
         def resolve(batch: pa.Table) -> pa.Table:
             (r,) = batch.to_pylist()
             paths, deltas = (r[k].split("\n") if r[k] else [] for k in ("paths", "deltas"))
-            return conform_table(_resolve_partition(lake_dir, paths, deltas, seg_schema), target)
+            return _live_rows(lake_dir, paths, deltas, seg_schema, policy, target)
 
         items = [
             {"paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}
@@ -963,12 +959,7 @@ class LakeTable:
             return schema.empty_table() if schema else pa.table({})
         seg_schema = _seg_schema_of(schema)
         target = schema if payload_only else seg_schema
-        tbls = [
-            conform_table(
-                _resolve_partition(self.lake_dir, e.paths, e.delta_paths, seg_schema),
-                target,
-            )
-            for _, e in sorted(self.manifest.partitions.items())
-        ]
+        tbls = [_live_rows(self.lake_dir, e.paths, e.delta_paths, seg_schema, self.policy, target)
+                for _, e in sorted(self.manifest.partitions.items())]
         out = pa.concat_tables(tbls)
         return out.take(pc.sort_indices(out, sort_keys=[("doc_id", "ascending")]))

@@ -59,6 +59,9 @@ class Manifest:
     schema_history: list[dict] = field(default_factory=list)
     runs: list[dict] = field(default_factory=list)
     partitions: dict[int, PartitionEntry] = field(default_factory=dict)
+    #: the merge policy ([column, direction] chain) every apply, read and
+    #: compaction ranks by; fixed at creation (none recorded: max-lsn)
+    merge_policy: list = field(default_factory=lambda: [["lsn", "descending"]])
 
     # -- schema ------------------------------------------------------------
     @property
@@ -106,6 +109,7 @@ class Manifest:
             schema_b64=d.get("schema_b64"),
             schema_history=d.get("schema_history", []),
             runs=d.get("runs", []),
+            merge_policy=d.get("merge_policy") or [["lsn", "descending"]],
         )
         parts = {}
         for k, v in d.get("partitions", {}).items():

@@ -35,8 +35,10 @@ from test_replay import (  # noqa: F401
     test_chunked_replay_matches_single_shot,
     test_chunked_replay_survives_lsn_gap,
     test_delta_mode_matches_full_merge,
+    test_delta_mode_under_merge_policy_matches_full,
     test_merge_policy_cursor_chain,
     test_partition_aligned_apply,
+    test_policy_winner_keeps_columns_the_window_lacks,
     test_resume_after_crash_before_commit,
     test_resume_after_crash_delta_mode,
 )

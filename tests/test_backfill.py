@@ -137,6 +137,21 @@ def test_resume_skips_completed_chunks_and_rerun_is_noop(tmp_path):
     assert lake.to_table().equals(final)
 
 
+def test_backfill_row_wins_tie_at_watermark(tmp_path):
+    """A backfilled row is stamped at the watermark, so it ties under the
+    merge policy with a row committed by the event at that lsn.  The newer
+    write, the backfill, wins the tie."""
+    wal = str(tmp_path / "wal.parquet")
+    pq.write_table(pa.table({"lsn": pa.array([1, 2], pa.int64()), "op": ["insert", "insert"],
+                             "doc_id": ["a", "b"], "v": pa.array([1, 1], pa.int64())}), wal)
+    lake = LakeTable(str(tmp_path / "lake"), ReplayConfig(num_partitions=1))
+    lake.apply_log(wal)  # b committed at _ab_lsn 2 == the watermark
+    chunk = pa.table({"doc_id": ["b"], "v": pa.array([7], pa.int64())})
+    assert backfill_chunk(lake, wal, chunk)["backfilled"] == 1
+    assert lake.to_table(payload_only=False).select(["doc_id", "v", "_ab_lsn"]).to_pylist() == [
+        {"doc_id": "a", "v": 1, "_ab_lsn": 1}, {"doc_id": "b", "v": 7, "_ab_lsn": 2}]
+
+
 def test_out_of_range_chunk_raises(tmp_path):
     base, ev, wal, lake = _setup(tmp_path, seed=31)
 

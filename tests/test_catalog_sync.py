@@ -4,7 +4,6 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 import ray.data
 
 from airbyte_ray import gen
@@ -12,15 +11,6 @@ from airbyte_ray.oracle import replay_oracle
 from airbyte_ray.pipelines.catalog_sync import CdcCatalogEngine, CdcStreamConfig
 from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig
 from airbyte_ray.state.manifest import Manifest
-
-
-def _files_under(root) -> dict[str, bytes]:
-    out = {}
-    for d, _, fs in os.walk(root):
-        for f in fs:
-            with open(os.path.join(d, f), "rb") as fh:
-                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
-    return out
 
 
 def test_two_stream_catalog(tmp_path):
@@ -203,45 +193,20 @@ def test_sync_shared_honors_delta_mode(tmp_path):
     assert lake.to_table().equals(replay_oracle(base, [ev1, ev2]))
 
 
-def test_sync_shared_rejects_delta_policy_before_any_write(tmp_path):
-    """A delta-mode stream under a custom merge policy fails on the driver,
-    before ANY stream of the catalog writes a segment, and the global
-    offset stays where it was (it used to fail inside a worker, possibly
-    after other streams' kernels had written)."""
-    ev1 = gen.gen_events(200, 40, seed=81)
-    ev2 = gen.gen_events(200, 40, seed=82, start_lsn=gen.next_lsn(ev1))
-    w1, w2 = tmp_path / "w1.parquet", tmp_path / "w2.parquet"
-    pq.write_table(ev1.append_column("stream", pa.array(["a"] * ev1.num_rows)), w1)
-    half = ev2.num_rows // 2
-    pq.write_table(ev2.append_column(
-        "stream", pa.array(["a"] * half + ["b"] * (ev2.num_rows - half))), w2)
-
-    root = tmp_path / "root"
-    good = CdcStreamConfig("a", str(w1), replay=ReplayConfig(num_partitions=4))
-    first = CdcCatalogEngine(str(root), [good]).sync_shared(str(w1))
-    assert first["applied_events"] > 0
-    before = _files_under(root)
-
-    bad = CdcStreamConfig("b", str(w2), replay=ReplayConfig(
-        num_partitions=4, delta_mode=True, merge_policy=(("lsn", "descending"),)))
-    eng = CdcCatalogEngine(str(root), [good, bad])
-    with pytest.raises(ValueError, match="merge policy"):
-        eng.sync_shared(str(w2))
-    assert _files_under(root) == before  # no segment, manifest or offset write
-    assert eng.load_global()["watermark"] == first["watermark"]
-
-
 def test_sync_shared_matches_apply_log(tmp_path):
     """Each stream of a shared WAL lands exactly as if it were applied
     alone: ``sync_shared`` writes byte-identical segment files and equal
     partition entries to ``apply_log`` over the stream's own filtered WAL —
-    a full-mode and a delta-mode stream, bootstrapped, over three syncs.
-    The delta stream auto-compacts (K=1): the second sync folds its chains,
-    the third layers a delta again."""
+    a full-mode and two delta-mode streams, bootstrapped, over three syncs.
+    Stream b auto-compacts (K=1): the second sync folds its chains, the
+    third layers a delta again.  Stream c is a delta stream under an
+    explicit merge policy, which takes the same path as any other."""
     cfgs = {"a": ReplayConfig(num_partitions=4),
-            "b": ReplayConfig(num_partitions=4, delta_mode=True, auto_compact_deltas=1)}
+            "b": ReplayConfig(num_partitions=4, delta_mode=True, auto_compact_deltas=1),
+            "c": ReplayConfig(num_partitions=4, delta_mode=True,
+                              merge_policy=(("lsn", "descending"),))}
     base, snaps = {}, {}
-    for n, seed in (("a", 91), ("b", 92)):
+    for n, seed in (("a", 91), ("b", 92), ("c", 95)):
         base[n] = gen.gen_base(80, seed=seed)
         snaps[n] = str(tmp_path / f"snap_{n}.parquet")
         pq.write_table(base[n], snaps[n])
@@ -249,7 +214,7 @@ def test_sync_shared_matches_apply_log(tmp_path):
     wals, own, lsn = [], {n: [] for n in cfgs}, 0
     for w in range(3):
         parts = []
-        for n, seed in (("a", 93), ("b", 94)):
+        for n, seed in (("a", 93), ("b", 94), ("c", 96)):
             ev = gen.gen_events(300, 80, seed=seed + 10 * w, start_lsn=lsn)
             lsn = gen.next_lsn(ev)
             own[n].append(ev)

@@ -229,23 +229,30 @@ def test_lineage_invariants(fixtures):
         assert n == e.rows
 
 
-def test_resume_after_crash_before_commit(fixtures):
+def test_resume_after_crash_before_commit(fixtures, monkeypatch):
     """Kill/restart (F4): segments written but manifest not committed →
-    resume re-applies from the committed watermark; identical final table."""
+    resume re-applies from the committed watermark; identical final table.
+    The crash is the manifest commit failing: a commit that never lands
+    also never removes the files it would supersede."""
     base, events, ev_path, lake_dir = fixtures
     lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(ray.data.from_arrow(base))
     saved = Manifest.load(lake_dir)  # snapshot-only manifest
 
-    lake.apply_log(ev_path)
-    done = lake.to_table()
+    def crash(self, lake_dir):
+        raise RuntimeError("crash before commit")
 
-    # simulate crash: roll the manifest back to pre-apply (segments linger)
-    saved.commit(lake_dir)
+    with monkeypatch.context() as mp:
+        mp.setattr(Manifest, "commit", crash)
+        with pytest.raises(RuntimeError, match="crash before commit"):
+            lake.apply_log(ev_path)
+    # the run's segments linger, invisible
+    assert glob.glob(os.path.join(lake_dir, "part=*", f"seg-{saved.watermark + 1:014d}.parquet"))
+
     resumed = LakeTable(lake_dir)
     assert resumed.manifest.watermark == saved.watermark
     resumed.apply_log(ev_path)
-    assert resumed.to_table().equals(done)
+    assert resumed.to_table().equals(replay_oracle(base, [events]))
 
 
 def test_resume_after_crash_delta_mode(fixtures):
@@ -338,11 +345,10 @@ def test_partition_aligned_apply(tmp_path):
 
 def test_fused_shard_apply_byte_equals_generic(tmp_path):
     """The default merge policy and an EXPLICIT (("lsn","descending"),)
-    merge_policy must write byte-identical segment files.  The explicit
-    policy takes the merge kernel's custom-policy branch (touched old rows
-    lifted back into event space and re-ranked with the events); two
-    applies cover old-absent and old-present merges, with dup deliveries +
-    tombstones."""
+    merge_policy must write byte-identical segment files.  Both go through
+    the one resolve (``_resolve_partition`` ranks the events with the
+    committed rows under the lake's policy); two applies cover old-absent
+    and old-present merges, with dup deliveries + tombstones."""
     import os
 
     P = 4
@@ -428,18 +434,130 @@ def test_merge_policy_cursor_chain(tmp_path):
     )
 
 
-def test_merge_policy_rejects_delta_mode(tmp_path):
-    lake = LakeTable(
-        str(tmp_path / "lake"),
-        ReplayConfig(num_partitions=2, merge_policy=(("ts", "descending"),),
-                     delta_mode=True),
-    )
-    t = pa.table({"lsn": pa.array([1, 2], pa.int64()), "op": ["update", "update"],
-                  "doc_id": ["a", "b"], "ts": pa.array([1, 2], pa.int64())})
+#: merge policies: the explicit default, a payload column (tombstones carry
+#: it null, so they rank last) and the reference's cursor chain
+POLICIES = ((("lsn", "descending"),), (("n_tok", "descending"),),
+            (("_ab_cdc_updated_at", "descending"), ("lsn", "descending")))
+
+
+def test_delta_mode_under_merge_policy_matches_full(fixtures, tmp_path):
+    """Delta mode takes any merge policy: merge-on-read ranks a partition's
+    files under the lake's recorded policy, as the full rewrite does.  For
+    each policy, over three windows with tombstones, a delta-mode lake's
+    ``read()`` equals the full-mode lake's ``to_table()``, and its
+    ``compact()`` gives the same rows."""
+    base, events, ev_path, _ = fixtures
+    windows = _epochs(events, tmp_path, 3)
+    assert pc.sum(pc.equal(events["op"], "delete")).as_py() > 0
+    oracle = replay_oracle(base, [events])
+    for i, pol in enumerate(POLICIES):
+        full = LakeTable(str(tmp_path / f"full{i}"),
+                         ReplayConfig(num_partitions=4, merge_policy=pol))
+        delta = LakeTable(str(tmp_path / f"delta{i}"),
+                          ReplayConfig(num_partitions=4, delta_mode=True, merge_policy=pol))
+        for lake in (full, delta):
+            lake.init_snapshot(ray.data.from_arrow(base))
+            for w in windows:
+                lake.apply_log(w)
+        assert all(len(e.delta_paths) == 3 for e in delta.manifest.partitions.values())
+        want = full.to_table(payload_only=False)
+        # the payload-column policy really picks other winners than max lsn
+        assert full.to_table().equals(oracle) == (pol != (("n_tok", "descending"),))
+
+        got = pa.concat_tables(ray.get(delta.read(payload_only=False).to_arrow_refs()))
+        assert got.take(pc.sort_indices(got, sort_keys=[("doc_id", "ascending")])).equals(want)
+        assert delta.compact() == 4
+        assert LakeTable(delta.lake_dir).to_table(payload_only=False).equals(want)
+
+
+def test_policy_winner_keeps_columns_the_window_lacks(tmp_path):
+    """Under a custom merge policy a committed row that beats a later
+    window's event survives whole — with the payload column and the
+    ``_ab_cdc_updated_at`` the later window lacks (the kernel used to lift
+    old rows into the window's event schema, and a winning old row came
+    back with those columns null).  A third window lacks the policy column
+    itself: its event ranks as null, last.  Full and delta mode."""
+    ts_type = pa.timestamp("us", tz="UTC")
+    t1 = pa.scalar(1_700_000_000_000_000, ts_type)
+    w1 = pa.table({"lsn": pa.array([1, 2], pa.int64()), "op": ["insert", "insert"],
+                   "doc_id": ["a", "b"], "ts": pa.array([10, 10], pa.int64()),
+                   "extra": ["keep-a", "keep-b"],
+                   "_ab_cdc_updated_at": pa.array([t1, t1], ts_type)})
+    w2 = pa.table({"lsn": pa.array([3, 4], pa.int64()), "op": ["update", "update"],
+                   "doc_id": ["a", "b"], "ts": pa.array([5, 20], pa.int64())})
+    w3 = pa.table({"lsn": pa.array([5], pa.int64()), "op": ["update"], "doc_id": ["a"]})
+    p1, p2, p3 = (tmp_path / f"w{i}.parquet" for i in (1, 2, 3))
+    for w, p in ((w1, p1), (w2, p2), (w3, p3)):
+        pq.write_table(w, p)
+    for delta in (False, True):
+        lake = LakeTable(str(tmp_path / f"lake{delta}"), ReplayConfig(
+            num_partitions=2, delta_mode=delta, merge_policy=(("ts", "descending"),)))
+        lake.apply_log(str(p1), delta=False)  # the base the window meets
+        lake.apply_log(str(p2))
+        lake.apply_log(str(p3))
+        assert lake.manifest.watermark == 5
+        got = lake.to_table(payload_only=False)
+        assert got.select(["doc_id", "ts", "extra", "_ab_lsn"]).to_pylist() == [
+            {"doc_id": "a", "ts": 10, "extra": "keep-a", "_ab_lsn": 1},  # old row won
+            {"doc_id": "b", "ts": 20, "extra": None, "_ab_lsn": 4},
+        ]
+        assert got["_ab_cdc_updated_at"].to_pylist() == [t1.as_py(), None]
+        _assert_read_matches_table(lake, payload_only=False)
+
+
+def test_merge_policy_is_lake_state(tmp_path, capsys):
+    """The lake records its merge policy at creation: a handle opened
+    without a config (and so the CLI's ``apply``) ranks by it, a config
+    naming another policy raises, and ``status`` prints it."""
+    import json
+
+    from airbyte_ray.cli import main as cli_main
+
+    def window(path, lsn, ts):
+        pq.write_table(pa.table({
+            "lsn": pa.array([lsn, lsn + 1], pa.int64()), "op": ["update", "update"],
+            "doc_id": ["a", "b"], "ts": pa.array([ts, ts], pa.int64())}), path)
+        return str(path)
+
+    lake_dir = str(tmp_path / "lake")
+    pol = (("ts", "descending"),)
+    LakeTable(lake_dir, ReplayConfig(num_partitions=2, merge_policy=pol)).apply_log(
+        window(tmp_path / "w1.parquet", 1, 10))
+    reopened = LakeTable(lake_dir)
+    assert reopened.policy == (("ts", "descending"), ("lsn", "descending"))
+    reopened.apply_log(window(tmp_path / "w2.parquet", 3, 5))  # both events lose
+    assert reopened.to_table()["ts"].to_pylist() == [10, 10]
+    assert cli_main(["apply", "--lake", lake_dir,
+                     "--log", window(tmp_path / "w3.parquet", 5, 7)]) == 0
+    capsys.readouterr()
+    after = LakeTable(lake_dir)
+    assert after.manifest.watermark == 6  # consumed, and still lost
+    assert after.to_table()["ts"].to_pylist() == [10, 10]
+
+    for other in ((("ts", "ascending"),), None):  # None: the default max-lsn
+        with pytest.raises(ValueError, match="merge_policy is fixed"):
+            LakeTable(lake_dir, ReplayConfig(num_partitions=2, merge_policy=other))
+    # the same policy with its implied lsn tiebreaker spelled out opens
+    LakeTable(lake_dir, ReplayConfig(num_partitions=2, merge_policy=pol + (("lsn", "descending"),)))
+
+    assert cli_main(["status", "--lake", lake_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["merge_policy"] == [
+        ["ts", "descending"], ["lsn", "descending"]]
+
+
+def test_merge_policy_unknown_column_raises_before_write(tmp_path):
+    """A policy column that is neither ``lsn`` nor a lake column raises on
+    the driver, before any segment is written (it used to raise a KeyError
+    inside a worker task)."""
     p = tmp_path / "e.parquet"
-    pq.write_table(t, p)
-    with pytest.raises(ValueError, match="merge policy"):
+    pq.write_table(pa.table({"lsn": pa.array([1, 2], pa.int64()), "op": ["update", "update"],
+                             "doc_id": ["a", "b"], "ts": pa.array([1, 2], pa.int64())}), p)
+    lake = LakeTable(str(tmp_path / "lake"),
+                     ReplayConfig(num_partitions=2, merge_policy=(("tss", "descending"),)))
+    with pytest.raises(ValueError, match="tss") as err:
         lake.apply_log(str(p))
+    assert not isinstance(err.value, ray.exceptions.RayTaskError)  # raised on the driver
+    assert not os.path.exists(lake.lake_dir)
 
 
 def test_vacuum_guards_inflight_removes_superseded(fixtures):
@@ -463,7 +581,9 @@ def test_vacuum_guards_inflight_removes_superseded(fixtures):
 
     before = lake.to_table()
     removed = lake.vacuum()
-    assert removed > 0  # superseded bootstrap files + the orphan went away
+    # the apply's commit already removed the bootstrap files it superseded;
+    # vacuum sweeps only the crash leftover
+    assert removed == 1
     assert os.path.exists(inflight)  # in-flight segment survived
     assert not os.path.exists(orphan)
     assert lake.to_table().equals(before)  # committed view untouched
@@ -587,6 +707,20 @@ def test_cli_apply_chunk_delta(fixtures, tmp_path, capsys):
     m = Manifest.load(lake_dir)
     assert any(e.delta_paths for e in m.partitions.values())
     _assert_matches_oracle(LakeTable(lake_dir), base, [events])
+
+
+def test_full_mode_leaves_only_listed_files(fixtures, tmp_path):
+    """A full-mode apply removes the files it superseded once its commit
+    lands: after several applies, with no ``vacuum()``, the lake dir holds
+    exactly the files the manifest lists."""
+    base, events, ev_path, lake_dir = fixtures
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
+    lake.init_snapshot(ray.data.from_arrow(base))
+    for w in _epochs(events, tmp_path, 3):
+        lake.apply_log(w)
+        assert (set(glob.glob(os.path.join(lake_dir, "part=*", "*.parquet")))
+                == set(lake.segment_paths()))
+    _assert_matches_oracle(lake, base, [events])
 
 
 def _epochs(events, tmp_path, n: int) -> list[str]:
