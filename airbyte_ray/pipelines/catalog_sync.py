@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import ray.data
 
-from .replay import LakeTable, ReplayConfig
+from .replay import _META_COLS, LakeTable, ReplayConfig
 
 
 @dataclass
@@ -150,13 +150,13 @@ class CdcCatalogEngine:
         scan = scan_event_log(log_paths, min_lsn=min(wms.values()), max_lsn=top)
         out_schemas, targets = {}, []
         for n in names:
-            # the stream's columns: never the stream column, and only its
-            # DECLARED payload, so stream A's lake never absorbs stream B's
-            # fields as all-null columns (review finding); undeclared
+            # the stream's columns: never the stream column, and only the
+            # event envelope and its DECLARED payload, so stream A's lake
+            # never absorbs stream B's fields as all-null columns; undeclared
             # streams accept the union (single-stream-WAL behavior)
             cols = self.streams[n].columns
-            ev_schema = pa.schema([f for f in scan.schema if f.name != stream_col
-                                   and (cols is None or f.name in cols)])
+            ev_schema = pa.schema([f for f in scan.schema if f.name != stream_col and (
+                cols is None or f.name in cols or f.name in _META_COLS)])
             # each stream's own write mode; a merge policy column the lake
             # lacks raises here, before the apply writes any segment
             out_schemas[n], ctx = lakes[n]._plan_ctx(ev_schema, lakes[n].config.delta_mode)

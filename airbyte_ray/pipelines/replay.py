@@ -110,10 +110,9 @@ def _full_policy(policy) -> tuple:
 def _policy_order(t: pa.Table, policy: tuple | None, lsn: str = "lsn") -> np.ndarray:
     """Row indices of ``t`` ranked best-first (stably) under ``policy``
     (see :func:`_full_policy`), its ``lsn`` read from column ``lsn``
-    (``_ab_lsn`` in segment space); a column ``t`` lacks ranks as null."""
+    (``_ab_lsn`` in segment space)."""
     policy = _full_policy(policy)
-    cols = [t[lsn] if c == "lsn" else t[c] if c in t.schema.names else pa.nulls(t.num_rows)
-            for c, _ in policy]
+    cols = [t[lsn if c == "lsn" else c] for c, _ in policy]
     if len(cols) == 1:
         order = pc.array_sort_indices(cols[0], order=policy[0][1])
     else:
@@ -192,23 +191,23 @@ def _seg_schema_of(out_schema: pa.Schema) -> pa.Schema:
 
 
 def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
-                       seg_schema: pa.Schema, policy: tuple,
-                       window: pa.Table | None = None) -> tuple[pa.Table, np.ndarray | None]:
+                       seg_schema: pa.Schema, policy: tuple, window: pa.Table | None = None
+                       ) -> tuple[pa.Table, np.ndarray | None, np.ndarray | None]:
     """Where committed rows meet new ones: rank one partition's rows under
-    the lake's merge ``policy`` — for a write the ``window``'s events in
-    segment space (tombstones flagged ``_ab_deleted``), then its deltas
-    newest first, then its base, so a tie goes to the newer write (a
-    backfill row stamped at the watermark replaces the row it ties).
-    Returns the rows (segment schema) and the indices of the live winners,
-    each key's first unless a tombstone, for the caller's ONE ``take`` —
-    None when base files alone (disjoint keys) make every row live.  Runs
-    in the per-partition task, never on the driver for the whole table."""
+    the lake's merge ``policy`` — a write's ``window`` events in segment
+    space (tombstones flagged ``_ab_deleted``), its deltas newest first,
+    its base — so a tie goes to the newer write.  A key's first row wins
+    unless it is a tombstone, which removes the rows written before it and
+    is then gone, as in the full rewrite that applied it: the key's rows
+    written after it rank again.  Returns the rows, the live winners'
+    indices for ONE ``take`` (None: base files alone, all live) and, for a
+    write, each key's winner among the window's events."""
     def read(rel: str, schema: pa.Schema) -> pa.Table:
         return conform_table(pq.read_table(os.path.join(lake_dir, rel)), schema)
 
     base = [read(p, seg_schema) for p in paths]
     if window is None and not deltas:
-        return (pa.concat_tables(base) if base else seg_schema.empty_table()), None
+        return (pa.concat_tables(base) if base else seg_schema.empty_table()), None, None
     dead_schema = pa.schema(list(seg_schema) + [pa.field(DELETED_COL, pa.bool_())])
     base = [b.append_column(DELETED_COL, pa.array(np.zeros(b.num_rows, bool))) for b in base]
     news = (([] if window is None else [conform_table(window, dead_schema)])
@@ -217,16 +216,30 @@ def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
     # input, so a rewrite keeps the names its partition's files had
     rows = pa.Table.from_arrays(pa.concat_tables(news + base).columns,
                                 schema=(base or news[::-1])[0].schema)
-    idx, _, _ = _first_per_key(rows["doc_id"].to_numpy(zero_copy_only=False),
-                               _policy_order(rows, policy, lsn=LSN_COL))
+    ids = rows["doc_id"].to_numpy(zero_copy_only=False)
     dead = pc.fill_null(rows[DELETED_COL], False).to_numpy(zero_copy_only=False)
-    return rows.drop_columns([DELETED_COL]), idx[~dead[idx]]
+    sizes = [n.num_rows for n in news]
+    age = np.repeat(np.arange(len(news) + 1), sizes + [rows.num_rows - sum(sizes)])  # 0: newest
+    ranked = _policy_order(rows, policy, lsn=LSN_COL)
+    win = None if window is None else _first_per_key(ids, ranked[ranked < sizes[0]])[0]
+    live = [ranked[:0]]
+    while ranked.size:
+        first, _, _ = _first_per_key(ids, ranked)
+        live.append(first[~dead[first]])
+        tomb = first[dead[first] & (age[first] > 0)]  # none newer than the window
+        if not tomb.size:
+            break
+        # next round: the rows of each tombstoned key written after its tombstone
+        ranked = ranked[age[ranked] < age[tomb].max()]
+        at = pd.Index(ids[tomb]).get_indexer(ids[ranked])
+        ranked = ranked[age[ranked] < np.append(age[tomb], -1)[at]]
+    return rows.drop_columns([DELETED_COL]), np.concatenate(live), win
 
 
 def _live_rows(lake_dir: str, paths: list[str], deltas: list[str], seg_schema: pa.Schema,
                policy: tuple, schema: pa.Schema) -> pa.Table:
     """One partition's live rows (merge-on-read), conformed to ``schema``."""
-    rows, idx = _resolve_partition(lake_dir, paths, deltas, seg_schema, policy)
+    rows, idx, _ = _resolve_partition(lake_dir, paths, deltas, seg_schema, policy)
     return conform_table(rows if idx is None else rows.take(pa.array(np.sort(idx))), schema)
 
 
@@ -303,15 +316,6 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     seg_schema = _seg_schema_of(out_schema)
     names = t.schema.names
 
-    win_idx, _, _ = _first_per_key(t["doc_id"].to_numpy(zero_copy_only=False),
-                                   _policy_order(t, policy))
-    # lineage: lsn_lo is the winners' min lsn; lsn_hi the max lsn CONSUMED
-    # (incl. policy losers — the survivors' max stalled the watermark under
-    # custom policies, review finding); n_events counts source events
-    lsn_lo = int(t["lsn"].to_numpy()[win_idx].min())
-    lsn_hi = int(pc.max(t["lsn_seen" if "lsn_seen" in names else "lsn"]).as_py())
-    n_events = int(pc.sum(t["n_src"]).as_py()) if "n_src" in names else t.num_rows
-
     old_entry = ctx["old_segments"].get(part)
     k = ctx.get("auto_compact_deltas")
     fold = bool(delta_mode and old_entry and k and len(old_entry["deltas"]) >= k)
@@ -326,14 +330,23 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
 
     if delta_write:
         # tombstones stay as flagged rows so merge-on-read can shadow the base
+        win_idx, _, _ = _first_per_key(ev["doc_id"].to_numpy(zero_copy_only=False),
+                                       _policy_order(ev, policy, lsn=LSN_COL))
         new_seg = ev.take(pa.array(win_idx))
         rel = os.path.join(f"part={part:05d}", f"delta-{ctx['run_lsn_hi']:014d}.parquet")
     else:
         old = old_entry or {"paths": [], "deltas": []}
-        new_seg = _take_sorted(*_resolve_partition(ctx["lake_dir"], old["paths"], old["deltas"],
-                                                   seg_schema, policy, ev))
+        rows, idx, win_idx = _resolve_partition(ctx["lake_dir"], old["paths"], old["deltas"],
+                                                seg_schema, policy, ev)
+        new_seg = _take_sorted(rows, idx)
         rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_lsn_hi']:014d}.parquet")
 
+    # lineage: lsn_lo is the window's winners' min lsn; lsn_hi the max lsn
+    # CONSUMED (incl. policy losers: under a custom policy the survivors'
+    # max would stall the watermark); n_events counts source events
+    lsn_lo = int(t["lsn"].to_numpy()[win_idx].min())
+    lsn_hi = int(pc.max(t["lsn_seen" if "lsn_seen" in names else "lsn"]).as_py())
+    n_events = int(pc.sum(t["n_src"]).as_py()) if "n_src" in names else t.num_rows
     row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi,
                          n_events, delta_write)
     return pa.Table.from_pylist([dict(row, folded=fold)], schema=_LINEAGE_SCHEMA)
@@ -379,23 +392,14 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
 def _one_task_rows() -> int:
     """The largest window (footer row bound) the planner runs as one task.
 
-    Measured on a 4-core VM (Ray 2.49.2; medians of 5 interleaved
-    fresh-lake applies, one task / exchange, s; BASELINE.md has the grid):
-
-    window (row bound), lake               1 CPU        2 CPUs       4 CPUs
-    cdc_tail 3k (4.5k), P=8 delta          0.052/0.255  0.059/0.238  0.064/0.359
-    12k (12.3k), P=64 delta                0.260/0.468  0.241/0.410  0.244/0.455
-    3k (4.5k), P=64 full after bootstrap   0.998/1.493  0.914/0.832  0.926/0.695
-    unaligned_wal 30k (30.6k), P=64 full   1.02/1.71    1.03/1.33    1.08/0.93
-    200k (204k), P=64 full                 2.15/11.85   —            —
-
-    At 1 CPU one task won every window up to the largest measured, which
-    raised the process's peak heap by 336 MB; that window is the cap.  With
-    more CPUs the exchange runs the partitions' kernels in parallel:
-    windows up to 12.3k rows still won 1.7–5.6× in delta mode and at P=8,
-    but a full apply at P=64 right after a bootstrap took 1.07–1.37× the
-    exchange's time at any size up to 30k rows (its base resolve is the
-    work, which the bound cannot see)."""
+    Measured on a 4-core VM (Ray 2.49.2, medians of 5 interleaved
+    fresh-lake applies; BASELINE.md has the grid): at 1 CPU one task beat
+    the exchange on every window up to 204k rows (2.15 vs 11.85 s), which
+    raised peak heap by 336 MB, so that is the cap.  With more CPUs windows
+    up to 12.3k rows still won 1.7–5.6× in delta mode and at P=8, but a
+    full apply at P=64 right after a bootstrap took 1.07–1.37× the
+    exchange's time up to 30k rows (its base resolve is the work, which
+    the bound cannot see)."""
     cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
     return 200_000 if cpus <= 1 else 12_000
 
@@ -469,8 +473,8 @@ def _compact_partition(lake_dir: str, part: int, paths: list[str], deltas: list[
                        seg_schema: pa.Schema, policy: tuple, rel: str) -> dict:
     """:meth:`LakeTable.compact`'s task: resolve one partition's files and
     write them as one segment sorted by doc_id; returns its lineage row."""
-    rows = _take_sorted(*_resolve_partition(lake_dir, paths, deltas, seg_schema, policy))
-    return _write_segment(lake_dir, part, rel, rows)
+    rows, idx, _ = _resolve_partition(lake_dir, paths, deltas, seg_schema, policy)
+    return _write_segment(lake_dir, part, rel, _take_sorted(rows, idx))
 
 
 def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Target],
@@ -563,15 +567,18 @@ class LakeTable:
             m = Manifest(cfg.num_partitions, merge_policy=_full_policy(cfg.merge_policy))
         elif config is not None and config.num_partitions != m.num_partitions:
             raise ValueError("num_partitions is fixed at lake creation")
-        elif config is not None and _full_policy(config.merge_policy) != _full_policy(m.merge_policy):
+        elif (config is not None and m.merge_policy is not None
+              and _full_policy(config.merge_policy) != _full_policy(m.merge_policy)):
             raise ValueError(f"merge_policy is fixed at lake creation: {m.merge_policy}")
         self.manifest = m
-        self.config = config or ReplayConfig(m.num_partitions, merge_policy=self.policy)
+        self.config = config or ReplayConfig(m.num_partitions, merge_policy=m.merge_policy)
 
     @property
     def policy(self) -> tuple:
-        """The merge policy the lake's manifest records."""
-        return _full_policy(self.manifest.merge_policy)
+        """The merge policy the lake's manifest records.  A manifest written
+        before policies were recorded takes the config's, which the next
+        commit records; with neither, max lsn."""
+        return _full_policy(self.manifest.merge_policy or self.config.merge_policy)
 
     # -- write path --------------------------------------------------------
     def init_snapshot(self, base: ray.data.Dataset) -> dict:
@@ -597,8 +604,9 @@ class LakeTable:
                 "the replay guard — bootstrap into a fresh lake directory"
             )
 
-        out_schema, ctx = self._plan_ctx(base.schema(), delta=False)
-        ctx["num_partitions"] = m.num_partitions
+        out_schema = self._out_schema(base.schema())
+        ctx = {"lake_dir": self.lake_dir, "num_partitions": m.num_partitions,
+               "schema": out_schema.serialize().to_pybytes()}
         t0 = time.perf_counter()
         # A small snapshot in few blocks (e.g. one single-row-group file)
         # would run the whole bootstrap in one task — split it first.  Only
@@ -674,20 +682,27 @@ class LakeTable:
             return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
         return self._apply(schema, delta, events, None if already_filtered else wm)
 
-    def _plan_ctx(self, ev_schema: pa.Schema, delta: bool) -> tuple[pa.Schema, dict]:
-        """The unified output schema (lake schema ∪ incoming payload) and
-        the merge kernel's ctx, shared by every entry point.  A merge policy
-        column that is neither ``lsn`` nor a segment column raises here, on
-        the driver, before any write."""
+    def _out_schema(self, ev_schema: pa.Schema) -> pa.Schema:
+        """The unified output schema: lake schema ∪ incoming payload."""
         m = self.manifest
         payload = pa.schema([  # doc_id + payload columns
             pa.field(n, t) for n, t in zip(ev_schema.names, ev_schema.types)
             if n not in _META_COLS and n != "op"
         ])
-        out_schema = payload if m.schema is None else unify_schemas(m.schema, payload)
-        known = {"lsn", *_seg_schema_of(out_schema).names} - {LSN_COL}
+        return payload if m.schema is None else unify_schemas(m.schema, payload)
+
+    def _plan_ctx(self, ev_schema: pa.Schema, delta: bool) -> tuple[pa.Schema, dict]:
+        """The output schema and the merge kernel's ctx for one window of
+        change events, shared by every apply entry point.  A merge policy
+        column other than ``lsn`` that the window's events or the lake's
+        segments lack raises here, on the driver, before any write — a
+        window without it would otherwise lose every comparison."""
+        m = self.manifest
+        out_schema = self._out_schema(ev_schema)
+        known = {"lsn"} | (set(ev_schema.names) & set(_seg_schema_of(out_schema).names))
         if unknown := [c for c, _ in self.policy if c not in known]:
-            raise ValueError(f"merge_policy columns {unknown} are not in {sorted(known)}")
+            raise ValueError(f"merge_policy columns {unknown} are missing from the window's "
+                             f"events or the lake (both carry {sorted(known)})")
         return out_schema, {
             "lake_dir": self.lake_dir,
             "policy": self.policy,
@@ -788,11 +803,14 @@ class LakeTable:
     def _install(self, entries: dict[int, PartitionEntry]) -> None:
         """Commit the manifest with ``entries`` replacing their partitions',
         then remove every file an old entry listed and its new one does not
-        (only after the commit landed; :meth:`vacuum` sweeps a crash's)."""
+        (only after the commit landed; :meth:`vacuum` sweeps a crash's).  A
+        manifest without a merge policy records the config's here."""
         m = self.manifest
         gone = [rel for part, e in entries.items() if part in m.partitions
                 for rel in m.partitions[part].all_paths if rel not in e.all_paths]
         m.partitions.update(entries)
+        if m.merge_policy is None and self.config.merge_policy is not None:
+            m.merge_policy = self.policy
         m.commit(self.lake_dir)
         _remove_files(self.lake_dir, gone)
 
@@ -832,15 +850,13 @@ class LakeTable:
         return self._apply(scan.schema, delta, scan, None, shards)
 
     def vacuum(self) -> int:
-        """Delete segment files not referenced by the committed manifest.
-        Every commit already removes the files it superseded, so this sweeps
-        only what a crash leaves: a run's segments whose commit never landed,
-        and superseded files whose removal never ran.  Segments whose
-        run-lsn suffix is NEWER than the committed watermark are skipped:
-        they may belong to an apply in flight whose manifest commit hasn't
-        landed yet — deleting them would leave that run's commit pointing at
-        missing files.  With that guard, vacuum is safe to run any time.
-        Returns number of files removed."""
+        """Delete segment files the committed manifest does not list.  Every
+        commit removes the files it superseded, so this sweeps only what a
+        crash leaves: segments whose commit never landed and superseded
+        files whose removal never ran.  Segments whose run-lsn suffix is
+        NEWER than the committed watermark are skipped — they may belong to
+        an apply whose commit is still in flight — so vacuum is safe to run
+        any time.  Returns the number of files removed."""
         import glob as _g
         import re as _re
 
@@ -848,14 +864,9 @@ class LakeTable:
         # not this handle's possibly-stale in-memory copy: another process
         # may have committed newer segments (suffix ≤ new watermark) that a
         # stale live set would classify as removable — data loss
-        committed = Manifest.load(self.lake_dir)
-        if committed is None:
-            committed = self.manifest
-        live = {
-            os.path.normpath(os.path.join(self.lake_dir, p))
-            for e in committed.partitions.values()
-            for p in e.all_paths
-        }
+        committed = Manifest.load(self.lake_dir) or self.manifest
+        live = {os.path.normpath(os.path.join(self.lake_dir, p))
+                for e in committed.partitions.values() for p in e.all_paths}
         committed_wm = committed.watermark
         removed = 0
         for pat in ("seg-*.parquet", "delta-*.parquet"):
@@ -885,19 +896,14 @@ class LakeTable:
 
     def compact(self) -> int:
         """Fold each multi-file partition (bootstrap blocks and/or run
-        deltas) into a single base segment — the bounded-write-amplification
-        counterpart to delta-mode applies (write O(delta) per run, pay the
-        full rewrite once per compaction cycle).  Distributed: one plain Ray
-        task per partition (:func:`_compact_partition`), resolving under the
-        lake's merge policy.  Commits the manifest, then removes the
-        superseded files (:meth:`_install`, as every apply does).
-        Returns the number of partitions compacted."""
+        deltas) into a single base segment — write O(delta) per run, pay the
+        full rewrite once per compaction cycle.  One plain Ray task per
+        partition (:func:`_compact_partition`); commits, then removes the
+        superseded files (:meth:`_install`, as every apply does).  Returns
+        the number of partitions compacted."""
         # as vacuum: work off the COMMITTED manifest — a stale handle would
         # clobber another process's newer entries and delete their files
-        committed = Manifest.load(self.lake_dir)
-        if committed is not None:
-            self.manifest = committed
-        m = self.manifest
+        m = self.manifest = Manifest.load(self.lake_dir) or self.manifest
         todo = [e for _, e in sorted(m.partitions.items()) if len(e.all_paths) > 1]
         if not todo:
             return 0
@@ -915,11 +921,8 @@ class LakeTable:
 
     # -- read path ---------------------------------------------------------
     def segment_paths(self) -> list[str]:
-        return [
-            os.path.join(self.lake_dir, p)
-            for e in self.manifest.partitions.values()
-            for p in e.all_paths
-        ]
+        return [os.path.join(self.lake_dir, p)
+                for e in self.manifest.partitions.values() for p in e.all_paths]
 
     def read(self, payload_only: bool = True) -> ray.data.Dataset:
         """The committed table as a Dataset (only manifest-visible segments).
@@ -941,13 +944,10 @@ class LakeTable:
             paths, deltas = (r[k].split("\n") if r[k] else [] for k in ("paths", "deltas"))
             return _live_rows(lake_dir, paths, deltas, seg_schema, policy, target)
 
-        items = [
-            {"paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}
-            for _, e in sorted(m.partitions.items())
-        ]
+        items = [{"paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}
+                 for _, e in sorted(m.partitions.items())]
         ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
-            resolve, batch_format="pyarrow", batch_size=1
-        )
+            resolve, batch_format="pyarrow", batch_size=1)
         ds.context.execution_options.preserve_order = True
         return ds
 

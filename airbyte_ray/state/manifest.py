@@ -60,8 +60,10 @@ class Manifest:
     runs: list[dict] = field(default_factory=list)
     partitions: dict[int, PartitionEntry] = field(default_factory=dict)
     #: the merge policy ([column, direction] chain) every apply, read and
-    #: compaction ranks by; fixed at creation (none recorded: max-lsn)
-    merge_policy: list = field(default_factory=lambda: [["lsn", "descending"]])
+    #: compaction ranks by; fixed at creation.  None: not recorded (a
+    #: manifest written before policies were) — the opening config's
+    #: policy applies and its next commit records it
+    merge_policy: list | None = None
 
     # -- schema ------------------------------------------------------------
     @property
@@ -109,7 +111,7 @@ class Manifest:
             schema_b64=d.get("schema_b64"),
             schema_history=d.get("schema_history", []),
             runs=d.get("runs", []),
-            merge_policy=d.get("merge_policy") or [["lsn", "descending"]],
+            merge_policy=d.get("merge_policy"),
         )
         parts = {}
         for k, v in d.get("partitions", {}).items():

@@ -41,6 +41,7 @@ from test_replay import (  # noqa: F401
     test_policy_winner_keeps_columns_the_window_lacks,
     test_resume_after_crash_before_commit,
     test_resume_after_crash_delta_mode,
+    test_tombstone_under_policy_same_in_every_mode,
 )
 from test_schema_evolution import (  # noqa: F401
     evolved,

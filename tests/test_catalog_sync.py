@@ -4,6 +4,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray.data
 
 from airbyte_ray import gen
@@ -11,6 +12,15 @@ from airbyte_ray.oracle import replay_oracle
 from airbyte_ray.pipelines.catalog_sync import CdcCatalogEngine, CdcStreamConfig
 from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig
 from airbyte_ray.state.manifest import Manifest
+
+
+def _files_under(root) -> dict[str, bytes]:
+    out = {}
+    for d, _, fs in os.walk(root):
+        for f in fs:
+            with open(os.path.join(d, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, f), root)] = fh.read()
+    return out
 
 
 def test_two_stream_catalog(tmp_path):
@@ -122,25 +132,31 @@ def test_sync_shared_single_pass_and_divergent_watermarks(tmp_path, monkeypatch)
 def test_sync_shared_declared_columns_no_cross_pollution(tmp_path):
     """Streams declaring their payload columns never absorb another
     stream's fields from the shared WAL (review finding: the unified WAL
-    schema leaked every stream's columns into every lake)."""
+    schema leaked every stream's columns into every lake).  The event
+    envelope still reaches every stream: b ranks by the WAL's
+    ``_ab_cdc_updated_at`` cursor, which it does not declare, so b1's late
+    event with an older cursor loses."""
     import numpy as np
     import pyarrow as pa
 
+    ts = pa.timestamp("us", tz="UTC")
     rows_a = pa.table({
         "lsn": pa.array([1, 3], pa.int64()),
         "op": ["update", "update"],
         "doc_id": ["a1", "a2"],
         "x": pa.array([10, 20], pa.int64()),
         "y": pa.array([None, None], pa.int64()),
+        "_ab_cdc_updated_at": pa.array([1, 3], ts),
         "stream": ["a", "a"],
     })
     rows_b = pa.table({
-        "lsn": pa.array([2, 4], pa.int64()),
-        "op": ["update", "update"],
-        "doc_id": ["b1", "b2"],
-        "x": pa.array([None, None], pa.int64()),
-        "y": pa.array([7, 8], pa.int64()),
-        "stream": ["b", "b"],
+        "lsn": pa.array([2, 4, 5], pa.int64()),
+        "op": ["update", "update", "update"],
+        "doc_id": ["b1", "b2", "b1"],
+        "x": pa.array([None, None, None], pa.int64()),
+        "y": pa.array([7, 8, 9], pa.int64()),
+        "_ab_cdc_updated_at": pa.array([2, 4, 1], ts),
+        "stream": ["b", "b", "b"],
     })
     wal = tmp_path / "wal.parquet"
     pq.write_table(pa.concat_tables([rows_a, rows_b]), wal)
@@ -149,10 +165,11 @@ def test_sync_shared_declared_columns_no_cross_pollution(tmp_path):
         CdcStreamConfig("a", str(wal), columns=["doc_id", "x"],
                         replay=ReplayConfig(num_partitions=2)),
         CdcStreamConfig("b", str(wal), columns=["doc_id", "y"],
-                        replay=ReplayConfig(num_partitions=2)),
+                        replay=ReplayConfig(num_partitions=2, merge_policy=(
+                            ("_ab_cdc_updated_at", "descending"),))),
     ])
     out = eng.sync_shared(str(wal))
-    assert out["applied_events"] == 4
+    assert out["applied_events"] == 5
     ta = eng.lake("a").to_table()
     tb = eng.lake("b").to_table()
     assert "y" not in ta.schema.names and "x" in ta.schema.names
@@ -191,6 +208,35 @@ def test_sync_shared_honors_delta_mode(tmp_path):
     lake = eng.lake("s")
     assert any(e.delta_paths for e in lake.manifest.partitions.values())
     assert lake.to_table().equals(replay_oracle(base, [ev1, ev2]))
+
+
+def test_sync_shared_rejects_delta_policy_before_any_write(tmp_path):
+    """A delta-mode stream whose merge policy names a column its events
+    and lake lack fails on the driver, before ANY stream of the catalog
+    writes a segment, and the global offset stays where it was (it used to
+    fail inside a worker, possibly after other streams' kernels had
+    written)."""
+    ev1 = gen.gen_events(200, 40, seed=81)
+    ev2 = gen.gen_events(200, 40, seed=82, start_lsn=gen.next_lsn(ev1))
+    w1, w2 = tmp_path / "w1.parquet", tmp_path / "w2.parquet"
+    pq.write_table(ev1.append_column("stream", pa.array(["a"] * ev1.num_rows)), w1)
+    half = ev2.num_rows // 2
+    pq.write_table(ev2.append_column(
+        "stream", pa.array(["a"] * half + ["b"] * (ev2.num_rows - half))), w2)
+
+    root = tmp_path / "root"
+    good = CdcStreamConfig("a", str(w1), replay=ReplayConfig(num_partitions=4))
+    first = CdcCatalogEngine(str(root), [good]).sync_shared(str(w1))
+    assert first["applied_events"] > 0
+    before = _files_under(root)
+
+    bad = CdcStreamConfig("b", str(w2), replay=ReplayConfig(
+        num_partitions=4, delta_mode=True, merge_policy=(("tss", "descending"),)))
+    eng = CdcCatalogEngine(str(root), [good, bad])
+    with pytest.raises(ValueError, match="merge_policy columns"):
+        eng.sync_shared(str(w2))
+    assert _files_under(root) == before  # no segment, manifest or offset write
+    assert eng.load_global()["watermark"] == first["watermark"]
 
 
 def test_sync_shared_matches_apply_log(tmp_path):

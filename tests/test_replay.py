@@ -476,7 +476,8 @@ def test_policy_winner_keeps_columns_the_window_lacks(tmp_path):
     ``_ab_cdc_updated_at`` the later window lacks (the kernel used to lift
     old rows into the window's event schema, and a winning old row came
     back with those columns null).  A third window lacks the policy column
-    itself: its event ranks as null, last.  Full and delta mode."""
+    itself: it raises on the driver and writes nothing (its events would
+    lose every comparison).  Full and delta mode."""
     ts_type = pa.timestamp("us", tz="UTC")
     t1 = pa.scalar(1_700_000_000_000_000, ts_type)
     w1 = pa.table({"lsn": pa.array([1, 2], pa.int64()), "op": ["insert", "insert"],
@@ -494,8 +495,13 @@ def test_policy_winner_keeps_columns_the_window_lacks(tmp_path):
             num_partitions=2, delta_mode=delta, merge_policy=(("ts", "descending"),)))
         lake.apply_log(str(p1), delta=False)  # the base the window meets
         lake.apply_log(str(p2))
-        lake.apply_log(str(p3))
-        assert lake.manifest.watermark == 5
+        before = Manifest.load(lake.lake_dir)
+        files = sorted(glob.glob(os.path.join(lake.lake_dir, "part=*", "*")))
+        with pytest.raises(ValueError, match="'ts'"):
+            lake.apply_log(str(p3))
+        assert Manifest.load(lake.lake_dir) == before
+        assert sorted(glob.glob(os.path.join(lake.lake_dir, "part=*", "*"))) == files
+        assert lake.manifest.watermark == 4
         got = lake.to_table(payload_only=False)
         assert got.select(["doc_id", "ts", "extra", "_ab_lsn"]).to_pylist() == [
             {"doc_id": "a", "ts": 10, "extra": "keep-a", "_ab_lsn": 1},  # old row won
@@ -543,6 +549,79 @@ def test_merge_policy_is_lake_state(tmp_path, capsys):
     assert cli_main(["status", "--lake", lake_dir]) == 0
     assert json.loads(capsys.readouterr().out)["merge_policy"] == [
         ["ts", "descending"], ["lsn", "descending"]]
+
+
+def test_tombstone_under_policy_same_in_every_mode(tmp_path):
+    """Under a policy not led by lsn a delete can outrank a later event of
+    its key.  A tombstone removes what was written before it and is then
+    gone, so a later, lower-ranked update lives again.  Full mode, delta
+    mode (merge-on-read), delta mode then ``compact()`` and delta mode with
+    auto-compaction all keep the same rows after every window."""
+    def window(i, lsn, op, ts):
+        p = str(tmp_path / f"w{i}.parquet")
+        pq.write_table(pa.table({"lsn": pa.array([lsn], pa.int64()), "op": [op],
+                                 "doc_id": ["k"], "ts": pa.array([ts], pa.int64())}), p)
+        return p
+
+    steps = [("insert", 10, [10]), ("delete", 100, []), ("update", 50, [50]),
+             ("delete", 30, [50]), ("update", 40, [50]), ("delete", 200, []),
+             ("update", 20, [20])]
+    paths = [window(i, i + 1, op, ts) for i, (op, ts, _) in enumerate(steps)]
+    pol = (("ts", "descending"),)
+    for mode in ("full", "delta", "fold"):
+        lake = LakeTable(str(tmp_path / mode), ReplayConfig(
+            num_partitions=1, delta_mode=mode != "full", merge_policy=pol,
+            auto_compact_deltas=2 if mode == "fold" else None))
+        for p, (_, _, want) in zip(paths, steps):
+            lake.apply_log(p)
+            assert lake.to_table()["ts"].to_pylist() == want, (mode, p)
+            _assert_read_matches_table(lake)
+        (e,) = lake.manifest.partitions.values()
+        folds = sum(r["auto_compacted"] for r in lake.manifest.runs)
+        assert (len(e.delta_paths), folds) == {
+            "full": (0, 0), "delta": (6, 0), "fold": (0, 2)}[mode]
+        if mode == "delta":
+            lake.compact()
+            assert LakeTable(lake.lake_dir).to_table()["ts"].to_pylist() == [20]
+
+
+def test_unrecorded_policy_takes_the_config_policy(tmp_path):
+    """A manifest written before merge policies were recorded: reopened
+    with the custom-policy config it was built with, it applies under that
+    policy (the events that lose on it lose) and its next commit records
+    the policy; reopened without a config, it ranks by max lsn."""
+    import json
+
+    def window(path, lsn, ts):
+        pq.write_table(pa.table({
+            "lsn": pa.array([lsn, lsn + 1], pa.int64()), "op": ["update", "update"],
+            "doc_id": ["a", "b"], "ts": pa.array([ts, ts], pa.int64())}), path)
+        return str(path)
+
+    pol = (("ts", "descending"),)
+    cfg = ReplayConfig(num_partitions=2, merge_policy=pol)
+    for reopen in ("config", "none"):
+        lake_dir = str(tmp_path / reopen)
+        LakeTable(lake_dir, cfg).apply_log(window(tmp_path / "w1.parquet", 1, 10))
+        mp = Manifest.path_for(lake_dir)
+        with open(mp) as f:
+            d = json.load(f)
+        del d["merge_policy"]
+        with open(mp, "w") as f:
+            json.dump(d, f)
+        assert Manifest.load(lake_dir).merge_policy is None
+
+        lake = LakeTable(lake_dir, cfg if reopen == "config" else None)
+        lake.apply_log(window(tmp_path / "w2.parquet", 3, 5))
+        assert lake.manifest.watermark == 4
+        if reopen == "config":
+            assert lake.to_table()["ts"].to_pylist() == [10, 10]  # the events lost
+            assert Manifest.load(lake_dir).merge_policy == [
+                ["ts", "descending"], ["lsn", "descending"]]
+            assert LakeTable(lake_dir).policy == (("ts", "descending"), ("lsn", "descending"))
+        else:
+            assert lake.to_table()["ts"].to_pylist() == [5, 5]  # max lsn won
+            assert Manifest.load(lake_dir).merge_policy is None
 
 
 def test_merge_policy_unknown_column_raises_before_write(tmp_path):
