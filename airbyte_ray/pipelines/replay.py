@@ -42,9 +42,9 @@ Why this shape at 100 TB:
   small window (most CDC commits) has none: Ray Data job and exchange
   overhead, not merge work, set its latency;
 * exactly-once: segments have deterministic paths derived from the committed
-  watermark; a retried/crashed run rewrites identical bytes; visibility is
-  the atomic manifest replace (BufferedStreamConsumer commit discipline,
-  ``BufferedStreamConsumer.java:205-290``);
+  manifest (``LakeTable._run_id``), never a path it lists; a retried/crashed
+  run rewrites identical bytes; visibility is the atomic manifest replace
+  (BufferedStreamConsumer commit discipline, ``BufferedStreamConsumer.java:205-290``);
 * monotonic-LSN guard: the read filters ``lsn > watermark``, so stale
   redeliveries from previous runs never re-enter (the reference's
   ``isRecordBehindOffset`` / row_number replay-dedup,
@@ -333,13 +333,13 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
         win_idx, _, _ = _first_per_key(ev["doc_id"].to_numpy(zero_copy_only=False),
                                        _policy_order(ev, policy, lsn=LSN_COL))
         new_seg = ev.take(pa.array(win_idx))
-        rel = os.path.join(f"part={part:05d}", f"delta-{ctx['run_lsn_hi']:014d}.parquet")
+        rel = os.path.join(f"part={part:05d}", f"delta-{ctx['run_id']:014d}.parquet")
     else:
         old = old_entry or {"paths": [], "deltas": []}
         rows, idx, win_idx = _resolve_partition(ctx["lake_dir"], old["paths"], old["deltas"],
                                                 seg_schema, policy, ev)
         new_seg = _take_sorted(rows, idx)
-        rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_lsn_hi']:014d}.parquet")
+        rel = os.path.join(f"part={part:05d}", f"seg-{ctx['run_id']:014d}.parquet")
 
     # lineage: lsn_lo is the window's winners' min lsn; lsn_hi the max lsn
     # CONSUMED (incl. policy losers: under a custom policy the survivors'
@@ -399,7 +399,9 @@ def _one_task_rows() -> int:
     up to 12.3k rows still won 1.7–5.6× in delta mode and at P=8, but a
     full apply at P=64 right after a bootstrap took 1.07–1.37× the
     exchange's time up to 30k rows (its base resolve is the work, which
-    the bound cannot see)."""
+    the bound cannot see).  That bootstrap left 8 base files per
+    partition (64 × 8), from a repartition it no longer runs; it now
+    leaves one per input block, so that loss is unmeasured today."""
     cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
     return 200_000 if cpus <= 1 else 12_000
 
@@ -555,7 +557,7 @@ class LakeTable:
 
     Layout::
 
-        <lake_dir>/part=00017/seg-<watermark>.parquet   # one live segment/partition
+        <lake_dir>/part=00017/seg-<run id>.parquet      # one live segment/partition
         <lake_dir>/_manifest/manifest.json              # atomic commit point
     """
 
@@ -584,13 +586,15 @@ class LakeTable:
     def init_snapshot(self, base: ray.data.Dataset) -> dict:
         """Bootstrap the lake from an initial snapshot.
 
-        Empty lake → ZERO-exchange fast path: every input block splits by
-        key hash in-task and appends one file per touched partition
-        (``part=N/seg-…-<blockhash>.parquet``) — one pass over the data, no
-        shuffle, no merge (there is nothing to merge with).  Snapshot rows
-        have unique keys by contract, so multi-file partitions hold disjoint
-        key sets and reads stay plain concats.  File names derive from block
-        content → a retried task rewrites identical bytes (idempotent).
+        Empty lake → ZERO-exchange fast path: one task per block of
+        ``base`` as given splits it by key hash and writes one file per
+        touched partition (``part=N/seg-…-<blockhash>.parquet``), so a
+        partition holds at most one base file per input block — one pass
+        over the data, no size probe, no repartition, no shuffle, no merge
+        (there is nothing to merge with).  Snapshot rows have unique keys by
+        contract, so multi-file partitions hold disjoint key sets and reads
+        stay plain concats.  File names derive from block content → a
+        retried task rewrites identical bytes (idempotent).
 
         An already-initialized lake raises: snapshot events carry lsn 0,
         which the ``lsn > watermark`` replay guard would silently drop in
@@ -608,13 +612,6 @@ class LakeTable:
         ctx = {"lake_dir": self.lake_dir, "num_partitions": m.num_partitions,
                "schema": out_schema.serialize().to_pybytes()}
         t0 = time.perf_counter()
-        # A small snapshot in few blocks (e.g. one single-row-group file)
-        # would run the whole bootstrap in one task — split it first.  Only
-        # for small inputs: at scale the source already has thousands of
-        # blocks and an extra repartition pass would be pure waste.
-        size = base.size_bytes() or 0
-        if 0 < size < (1 << 30):
-            base = base.repartition(max(8, min(256, size // (4 << 20) + 1)))
         lineage = (
             base.map_batches(
                 partial(_bootstrap_block, ctx=ctx), batch_format="pyarrow"
@@ -672,15 +669,17 @@ class LakeTable:
         ]
 
     def _apply_ds(self, events: ray.data.Dataset, already_filtered: bool = False,
-                  delta: bool = False) -> dict:
+                  delta: bool | None = None) -> dict:
         """Apply change events given as a Dataset: there are no footers to
         size the window from, so this always runs the keyed exchange.  The
-        route keeps ``lsn > watermark`` unless ``already_filtered``."""
+        route keeps ``lsn > watermark`` unless ``already_filtered``.  Like
+        every apply, it writes in the lake's mode unless ``delta`` says."""
         wm = self.manifest.watermark
         schema = events.schema()
         if schema is None:  # empty input
             return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
-        return self._apply(schema, delta, events, None if already_filtered else wm)
+        return self._apply(schema, self.config.delta_mode if delta is None else delta,
+                           events, None if already_filtered else wm)
 
     def _out_schema(self, ev_schema: pa.Schema) -> pa.Schema:
         """The unified output schema: lake schema ∪ incoming payload."""
@@ -713,10 +712,21 @@ class LakeTable:
             },
             "delta_mode": delta,
             "auto_compact_deltas": self.config.auto_compact_deltas,
-            # deterministic run id: the previous watermark + 1 (unique per
-            # committed run chain; a crashed rerun reproduces the same paths)
-            "run_lsn_hi": m.watermark + 1,
+            "run_id": self._run_id(),
         }
+
+    def _run_id(self) -> int:
+        """The id that names the next commit's files: one past both the
+        watermark and the last run's id (a run record without ``run_id``,
+        from an older manifest, counts as none).  A backfill commit keeps
+        the watermark, so ``watermark + 1`` alone would name the next
+        apply's files after the ones that commit listed, and that apply
+        would rewrite them in place before its own commit.  It depends only
+        on the committed manifest, so a rerun after a crash writes the same
+        paths, and it is above the watermark, so :meth:`vacuum` skips an
+        in-flight run's files."""
+        m = self.manifest
+        return max(m.watermark, m.runs[-1].get("run_id", -1) if m.runs else -1) + 1
 
     def _apply(self, ev_schema: pa.Schema, delta: bool,
                source: EventLogScan | ray.data.Dataset, min_lsn: int | None,
@@ -781,6 +791,7 @@ class LakeTable:
                 )
         m.runs.append(
             {
+                "run_id": self._run_id(),  # the id that named this run's files
                 "prev_watermark": wm,
                 "watermark": int(new_wm),
                 "applied_events": n_events,
@@ -874,9 +885,9 @@ class LakeTable:
                 if os.path.normpath(f) in live:
                     continue
                 m = _re.search(r"(?:seg|delta)-(\d+)", os.path.basename(f))
-                # segments are named (seg|delta)-<start_wm+1>[-block]; one
-                # from an in-flight run has suffix committed_wm+1 — anything
-                # beyond the committed watermark may still await its commit
+                # segments are named (seg|delta)-<run id>[-block|-compact];
+                # an in-flight run's id is above the committed watermark
+                # (_run_id) — anything beyond it may still await its commit
                 if m and int(m.group(1)) > committed_wm:
                     continue
                 os.remove(f)
@@ -911,7 +922,7 @@ class LakeTable:
         lineage = ray.get([
             _compact_partition.remote(
                 self.lake_dir, e.part, e.paths, e.delta_paths, seg_schema, self.policy,
-                os.path.join(f"part={e.part:05d}", f"seg-{m.watermark + 1:014d}-compact.parquet"))
+                os.path.join(f"part={e.part:05d}", f"seg-{self._run_id():014d}-compact.parquet"))
             for e in todo
         ])
         self._install({int(r["part"]): replace(

@@ -2,6 +2,7 @@
 convergence against the sequential replay oracle under every interleaving
 the algorithm must survive."""
 
+import glob
 import os
 
 import pyarrow as pa
@@ -15,6 +16,7 @@ from airbyte_ray import gen
 from airbyte_ray.oracle import replay_oracle
 from airbyte_ray.pipelines.backfill import backfill_chunk, incremental_snapshot
 from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig
+from airbyte_ray.state.manifest import Manifest
 
 N_BASE = 300
 
@@ -137,19 +139,129 @@ def test_resume_skips_completed_chunks_and_rerun_is_noop(tmp_path):
     assert lake.to_table().equals(final)
 
 
-def test_backfill_row_wins_tie_at_watermark(tmp_path):
-    """A backfilled row is stamped at the watermark, so it ties under the
-    merge policy with a row committed by the event at that lsn.  The newer
-    write, the backfill, wins the tie."""
+def _backfill_row_wins_tie(tmp_path, delta_mode: bool) -> LakeTable:
     wal = str(tmp_path / "wal.parquet")
     pq.write_table(pa.table({"lsn": pa.array([1, 2], pa.int64()), "op": ["insert", "insert"],
                              "doc_id": ["a", "b"], "v": pa.array([1, 1], pa.int64())}), wal)
-    lake = LakeTable(str(tmp_path / "lake"), ReplayConfig(num_partitions=1))
+    lake = LakeTable(str(tmp_path / "lake"),
+                     ReplayConfig(num_partitions=1, delta_mode=delta_mode))
     lake.apply_log(wal)  # b committed at _ab_lsn 2 == the watermark
     chunk = pa.table({"doc_id": ["b"], "v": pa.array([7], pa.int64())})
     assert backfill_chunk(lake, wal, chunk)["backfilled"] == 1
     assert lake.to_table(payload_only=False).select(["doc_id", "v", "_ab_lsn"]).to_pylist() == [
         {"doc_id": "a", "v": 1, "_ab_lsn": 1}, {"doc_id": "b", "v": 7, "_ab_lsn": 2}]
+    return lake
+
+
+def test_backfill_row_wins_tie_at_watermark(tmp_path):
+    """A backfilled row is stamped at the watermark, so it ties under the
+    merge policy with a row committed by the event at that lsn.  The newer
+    write, the backfill, wins the tie."""
+    _backfill_row_wins_tie(tmp_path, delta_mode=False)
+
+
+def test_backfill_row_wins_tie_at_watermark_delta_mode(tmp_path):
+    """The same tie on a delta-mode lake: the backfill is a delta file
+    layered on the committed segment, and merge-on-read ranks it first."""
+    lake = _backfill_row_wins_tie(tmp_path, delta_mode=True)
+    (entry,) = lake.manifest.partitions.values()
+    assert len(entry.delta_paths) == 1
+
+
+def _listed_files(lake_dir: str) -> dict[str, bytes]:
+    """The bytes of every file the committed manifest lists."""
+    out = {}
+    for e in Manifest.load(lake_dir).partitions.values():
+        for rel in e.all_paths:
+            with open(os.path.join(lake_dir, rel), "rb") as f:
+                out[rel] = f.read()
+    return out
+
+
+def _assert_unchanged(lake_dir: str, listed: dict[str, bytes]) -> None:
+    """No file in ``listed`` holds other bytes (a superseded one may be gone)."""
+    for rel, data in listed.items():
+        f = os.path.join(lake_dir, rel)
+        if os.path.exists(f):
+            with open(f, "rb") as fh:
+                assert fh.read() == data, f"{rel} was rewritten in place"
+
+
+@pytest.mark.parametrize("delta_mode", [False, True])
+def test_commit_never_rewrites_a_listed_file(tmp_path, monkeypatch, delta_mode):
+    """A backfill commit leaves the watermark where it was, yet the next
+    commit still names new files: across backfill → backfill → compact() →
+    tail no step changes the bytes of a file the commit before it listed,
+    and a tail whose commit fails leaves the backfilled lake as it was."""
+    base, ev, wal, _ = _setup(tmp_path)
+    cfg = ReplayConfig(num_partitions=4, delta_mode=delta_mode)
+    lake = LakeTable(str(tmp_path / "lake"), cfg)
+    half = int(pc.approximate_median(ev["lsn"]).as_py())
+    lake.apply_log(wal, max_lsn=half)
+    reader = _chunk_reader(base, ev, lake)
+    mid = sorted(base["doc_id"].to_pylist())[N_BASE // 2]
+    for lo, hi in ((None, mid), (mid, None)):
+        listed = _listed_files(lake.lake_dir)
+        wm = lake.manifest.watermark  # an empty window: every chunk row applies
+        assert backfill_chunk(lake, wal, reader(lo, hi), w_hi=wm, tail=False)["backfilled"]
+        _assert_unchanged(lake.lake_dir, listed)
+    listed = _listed_files(lake.lake_dir)
+    assert (lake.compact() > 0) == delta_mode  # a full-mode lake is one file a partition
+    _assert_unchanged(lake.lake_dir, listed)
+    backfilled = lake.to_table(payload_only=False)
+
+    def fail(*_):
+        raise RuntimeError("crash before commit")
+
+    listed = _listed_files(lake.lake_dir)
+    with monkeypatch.context() as mp:
+        mp.setattr(Manifest, "commit", fail)
+        with pytest.raises(RuntimeError, match="crash"):
+            lake.apply_log(wal)
+    _assert_unchanged(lake.lake_dir, listed)
+    lake = LakeTable(lake.lake_dir, cfg)  # the committed state
+    assert lake.to_table(payload_only=False).equals(backfilled)
+    lake.vacuum()  # the failed tail's files sit above the watermark
+    lake.apply_log(wal)  # the rerun
+    _assert_unchanged(lake.lake_dir, listed)
+    assert lake.to_table().equals(replay_oracle(base, [ev]))
+
+
+def test_backfill_follows_delta_mode(tmp_path):
+    """A backfill chunk writes in the lake's mode: on a delta-mode lake its
+    commit writes delta files (and folds a long chain, like any apply), and
+    the lake converges to the same table as a full-mode lake."""
+    keys = sorted(gen.gen_base(N_BASE, seed=11)["doc_id"].to_pylist())
+    bounds = [None, keys[N_BASE // 3], keys[2 * N_BASE // 3], None]
+    tables, chunk_files = [], {False: [], True: []}
+    for delta_mode in (False, True):
+        (tmp_path / str(delta_mode)).mkdir()
+        base, ev, wal, _ = _setup(tmp_path / str(delta_mode))
+        lake = LakeTable(str(tmp_path / str(delta_mode) / "lake"),
+                         ReplayConfig(num_partitions=4, delta_mode=delta_mode,
+                                      auto_compact_deltas=2 if delta_mode else None))
+        lake.apply_log(wal, max_lsn=int(pc.approximate_median(ev["lsn"]).as_py()))
+        apply_ds = lake._apply_ds
+
+        def spy(*a, **kw):
+            before = set(glob.glob(os.path.join(lake.lake_dir, "part=*", "*.parquet")))
+            st = apply_ds(*a, **kw)
+            after = set(glob.glob(os.path.join(lake.lake_dir, "part=*", "*.parquet")))
+            chunk_files[delta_mode].append(sorted(os.path.basename(f) for f in after - before))
+            return st
+
+        lake._apply_ds = spy
+        incremental_snapshot(lake, wal, _chunk_reader(base, ev, lake), bounds)
+        tables.append(lake.to_table())
+    assert tables[0].equals(tables[1])
+    assert tables[1].equals(replay_oracle(base, [ev]))
+    full, delta = chunk_files[False], chunk_files[True]
+    assert len(full) == len(delta) == 3
+    assert all(n.startswith("seg-") for fs in full for n in fs)
+    # chunk 1 layers on one-file chains, the tail after it makes them two
+    # long, so chunk 2 folds them
+    assert delta[0] and all(n.startswith("delta-") for n in delta[0])
+    assert delta[1] and all(n.startswith("seg-") for n in delta[1])
 
 
 def test_out_of_range_chunk_raises(tmp_path):

@@ -118,7 +118,8 @@ def test_delta_mode_matches_full_merge(fixtures, tmp_path):
     pq.write_table(e2, p2)
 
     lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
-    lake.init_snapshot(ray.data.from_arrow(base))
+    # a three-block snapshot: one base file per (block, partition)
+    lake.init_snapshot(ray.data.from_arrow([base.slice(i, 100) for i in range(0, N_BASE, 100)]))
     # freshly bootstrapped: multi-file base partitions, no deltas yet
     assert any(len(e.paths) > 1 for e in lake.manifest.partitions.values())
     _assert_read_matches_table(lake)
@@ -180,6 +181,48 @@ def test_bootstrap_fast_path_used_and_correct(fixtures):
     # a normal apply over the bootstrap merges to single-file partitions
     lake.apply_log(ev_path)
     _assert_matches_oracle(lake, base, [events])
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_bootstrap_writes_one_file_per_block_per_partition(fixtures, blocks):
+    """The bootstrap runs one task per block of the snapshot as given: a
+    ``blocks``-block snapshot leaves at most ``blocks`` base files in each
+    partition, and a one-block snapshot exactly one."""
+    base, _, _, lake_dir = fixtures
+    step = -(-N_BASE // blocks)
+    snap = ray.data.from_arrow([base.slice(i, step) for i in range(0, N_BASE, step)])
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
+    lake.init_snapshot(snap)
+    counts = [len(e.paths) for e in Manifest.load(lake_dir).partitions.values()]
+    assert len(counts) == 4 and max(counts) <= blocks
+    if blocks == 1:
+        assert counts == [1, 1, 1, 1]
+    _assert_matches_oracle(lake, base, [])
+
+
+def test_bootstrap_runs_upstream_once_per_block(fixtures, tmp_path):
+    """A snapshot that is a pipeline, not a table, runs its upstream step
+    once per block for the bootstrap, plus what the schema probe runs — the
+    bootstrap neither sizes nor reshapes its input first.  The probe
+    (``Dataset.schema()``, a ``limit(1)`` execution) runs a block or two
+    at 1 CPU; with more CPUs it may start every block before the limit
+    stops it, so the bound is one pass for each."""
+    base, _, _, lake_dir = fixtures
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def upstream(t: pa.Table) -> pa.Table:
+        import uuid
+
+        (calls / uuid.uuid4().hex).touch()
+        return t
+
+    snap = ray.data.from_arrow([base.slice(i, 40) for i in range(0, N_BASE, 40)])
+    blocks = snap.num_blocks()
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
+    lake.init_snapshot(snap.map_batches(upstream, batch_format="pyarrow"))
+    assert blocks == 8 and len(list(calls.iterdir())) <= 2 * blocks
+    _assert_matches_oracle(lake, base, [])
 
 
 def test_chunked_replay_survives_lsn_gap(fixtures, tmp_path):

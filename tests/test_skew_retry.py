@@ -48,7 +48,7 @@ def test_merge_task_idempotent_under_retry(tmp_path):
         "lake_dir": str(tmp_path / "lake"),
         "schema": BASE_SCHEMA.serialize().to_pybytes(),
         "old_segments": {},
-        "run_lsn_hi": 1,
+        "run_id": 1,
     }
     lin1 = _merge_partition(ev, 0, ctx).to_pylist()
     seg = tmp_path / "lake" / lin1[0]["path"]
