@@ -12,8 +12,9 @@ the lake's watermark; ``stream == name`` in a shared WAL):
                                                   #   files, row bound
     window task (_apply_window, one ray.remote task per window, or per
       shard for key-partitioned input — no exchange):
-      pushdown read → conform → route (keep each target's rows, tag
-        part + target) → sort by (target, part) → _merge_partition per slice
+      read the footer's row groups + lsn mask → conform → route (keep each
+        target's rows, tag part + target) → sort by (target, part)
+        → _merge_partition per slice
     else (row bound > _one_task_rows(), or Dataset input), one keyed exchange:
       route + per-target combiner (_pre_reduce)    # per-batch LWW
         → groupby([target, part]).map_groups(_merge_partition)
@@ -61,7 +62,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pandas as pd
@@ -183,6 +184,12 @@ def _pre_reduce(t: pa.Table, num_partitions: int,
     return t.append_column("part", _part_of(t["doc_id"], num_partitions))
 
 
+def _payload_schema(ev_schema: pa.Schema) -> pa.Schema:
+    """doc_id + the payload columns of an event (or snapshot) schema."""
+    return pa.schema([pa.field(n, t) for n, t in zip(ev_schema.names, ev_schema.types)
+                      if n not in _META_COLS and n != "op"])
+
+
 def _seg_schema_of(out_schema: pa.Schema) -> pa.Schema:
     return pa.schema(
         list(out_schema)
@@ -199,11 +206,15 @@ def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
     its base — so a tie goes to the newer write.  A key's first row wins
     unless it is a tombstone, which removes the rows written before it and
     is then gone, as in the full rewrite that applied it: the key's rows
-    written after it rank again.  Returns the rows, the live winners'
-    indices for ONE ``take`` (None: base files alone, all live) and, for a
-    write, each key's winner among the window's events."""
+    written after it rank again.  Each file is read on its own with
+    ``ParquetFile.read`` (not ``pq.read_table``, which sets up a one-file
+    dataset per call) and conformed to the lake's schema, whatever
+    encoding wrote it.  Returns the rows, the live
+    winners' indices for ONE ``take`` (None: base files alone, all live)
+    and, for a write, each key's winner among the window's events."""
     def read(rel: str, schema: pa.Schema) -> pa.Table:
-        return conform_table(pq.read_table(os.path.join(lake_dir, rel)), schema)
+        with pq.ParquetFile(os.path.join(lake_dir, rel)) as f:
+            return conform_table(f.read(use_threads=False), schema)
 
     base = [read(p, seg_schema) for p in paths]
     if window is None and not deltas:
@@ -270,13 +281,19 @@ def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
                    lsn_lo: int = 0, lsn_hi: int = 0, n_events: int = 0,
                    is_delta: bool = False) -> dict:
     """Write one segment file atomically (tmp + ``os.replace``) and return
-    its lineage row.  The path is deterministic, so a retried task rewrites
-    identical bytes; the checksum is an order-insensitive hash of the
-    file's (doc_id, _ab_lsn) pairs."""
+    its lineage row — the lake's only writer (bootstrap, delta, full
+    rewrite, fold, ``compact()``).  Segments are zstd without dictionary
+    pages: ``tokens`` holds ~50k distinct ids in a 2.6k-row partition, where
+    a dictionary page cost write CPU and bytes and saved nothing (zstd
+    without it: 44% less write CPU, 15% fewer bytes, reads ~10% slower;
+    BASELINE.md "Segment I/O").  Files written before, snappy with
+    dictionary pages, read the same.  The path is
+    deterministic, so a retried task rewrites identical bytes; the checksum
+    is an order-insensitive hash of the file's (doc_id, _ab_lsn) pairs."""
     abs_path = os.path.join(lake_dir, rel)
     os.makedirs(os.path.dirname(abs_path), exist_ok=True)
     tmp = abs_path + f".tmp-{os.getpid()}"
-    pq.write_table(seg, tmp)
+    pq.write_table(seg, tmp, compression="zstd", use_dictionary=False)
     os.replace(tmp, abs_path)
     checksum = int(
         (stable_hash(seg["doc_id"]) + seg[LSN_COL].to_numpy().astype(np.uint64)).sum()
@@ -352,15 +369,22 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     return pa.Table.from_pylist([dict(row, folded=fold)], schema=_LINEAGE_SCHEMA)
 
 
+#: a bootstrap task's lineage rows also carry its block's payload schema
+_BOOTSTRAP_LINEAGE_SCHEMA = _LINEAGE_SCHEMA.append(pa.field("schema", pa.binary()))
+
+
 def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
     """Zero-exchange bootstrap task: split one input block by key hash and
-    append a file per touched partition.  File names are content-derived
-    (hash of the block's doc_ids) so task retries rewrite identical bytes."""
+    append a file per touched partition, in the block's own payload schema
+    (:func:`_payload_schema`), which each lineage row carries serialized
+    for :meth:`LakeTable.init_snapshot` to unify.  File names are
+    content-derived (hash of the block's doc_ids) so task retries rewrite
+    identical bytes."""
     import hashlib as _hl
 
     if t.num_rows == 0:
-        return _LINEAGE_SCHEMA.empty_table()
-    out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
+        return _BOOTSTRAP_LINEAGE_SCHEMA.empty_table()
+    out_schema = _payload_schema(t.schema)
     seg_schema = _seg_schema_of(out_schema)
     P = ctx["num_partitions"]
     part = _part_of(t["doc_id"], P).to_numpy()
@@ -386,7 +410,9 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
         rel = os.path.join(f"part={p:05d}", f"seg-{0:014d}-{block_id}.parquet")
         # _ab_lsn is 0 here, so the checksum is the plain doc_id hash sum
         rows.append(_write_segment(ctx["lake_dir"], p, rel, sub, n_events=sub.num_rows))
-    return pa.Table.from_pylist(rows, schema=_LINEAGE_SCHEMA)
+    schema = out_schema.serialize().to_pybytes()
+    return pa.Table.from_pylist([dict(r, schema=schema) for r in rows],
+                                schema=_BOOTSTRAP_LINEAGE_SCHEMA)
 
 
 def _one_task_rows() -> int:
@@ -401,7 +427,10 @@ def _one_task_rows() -> int:
     exchange's time up to 30k rows (its base resolve is the work, which
     the bound cannot see).  That bootstrap left 8 base files per
     partition (64 × 8), from a repartition it no longer runs; it now
-    leaves one per input block, so that loss is unmeasured today."""
+    leaves one per input block, so that loss is unmeasured today.  The
+    grid also predates the segment writer (zstd without dictionary pages)
+    and the per-file reads of lake and log files, which changed the merge
+    work of both plans."""
     cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
     return 200_000 if cpus <= 1 else 12_000
 
@@ -443,18 +472,15 @@ def _route(t: pa.Table, targets: list[_Target], combine: bool = False) -> pa.Tab
 @ray.remote
 def _apply_window(scan: EventLogScan, targets: list[_Target], files: list[str] | None = None,
                   part: int | None = None) -> list[dict]:
-    """The window task: read each log file's window (row-group pushdown),
-    conform it to the unified event schema, route it to the targets and run
-    the merge kernel on each (target, part) slice.  A shard of
-    key-partitioned input (its ``files`` and ``part``) raises before any
-    write if a routed row belongs to another partition.  Returns the lineage
-    rows, tagged ``tgt``.  A task retried after a worker death rewrites
-    identical bytes (the kernel's paths and output are deterministic)."""
-    flt = [("lsn", ">", scan.min_lsn)] + (
-        [] if scan.max_lsn is None else [("lsn", "<=", scan.max_lsn)])
-    t = _route(pa.concat_tables([
-        conform_table(pq.read_table(f, filters=flt, partitioning=None), scan.schema)
-        for f in files or scan.files]), targets)
+    """The window task: read each log file's window in the unified event
+    schema (the row groups the footer pass found meeting it, masked to the
+    lsn bounds — :meth:`EventLogScan.table`), route it to the targets and
+    run the merge kernel on each (target, part) slice.  A shard of key-partitioned input (its ``files`` and ``part``)
+    raises before any write if a routed row belongs to another partition.
+    Returns the lineage rows, tagged ``tgt``.  A task retried after a worker
+    death rewrites identical bytes (the kernel's paths and output are
+    deterministic)."""
+    t = _route(scan.table(files or scan.files), targets)
     bad = 0 if part is None else int(np.count_nonzero(t["part"].to_numpy() != part))
     if bad:
         raise ValueError(f"shard part={part}: {bad} rows hash to other partitions — "
@@ -590,8 +616,11 @@ class LakeTable:
         ``base`` as given splits it by key hash and writes one file per
         touched partition (``part=N/seg-…-<blockhash>.parquet``), so a
         partition holds at most one base file per input block — one pass
-        over the data, no size probe, no repartition, no shuffle, no merge
-        (there is nothing to merge with).  Snapshot rows have unique keys by
+        over the data, no size or schema probe, no repartition, no shuffle,
+        no merge (there is nothing to merge with): each task writes its
+        block's own payload schema and the manifest schema unifies the ones
+        the tasks return, so the snapshot's upstream runs once per block.
+        Snapshot rows have unique keys by
         contract, so multi-file partitions hold disjoint key sets and reads
         stay plain concats.  File names derive from block content → a
         retried task rewrites identical bytes (idempotent).
@@ -608,15 +637,19 @@ class LakeTable:
                 "the replay guard — bootstrap into a fresh lake directory"
             )
 
-        out_schema = self._out_schema(base.schema())
-        ctx = {"lake_dir": self.lake_dir, "num_partitions": m.num_partitions,
-               "schema": out_schema.serialize().to_pybytes()}
+        ctx = {"lake_dir": self.lake_dir, "num_partitions": m.num_partitions}
         t0 = time.perf_counter()
         lineage = (
             base.map_batches(
                 partial(_bootstrap_block, ctx=ctx), batch_format="pyarrow"
             ).take_all()
         )
+        # the blocks' payload schemas, unified in a content order (block
+        # completion order must not reach the manifest); every read
+        # conforms each file to it
+        schemas = sorted({r.pop("schema") for r in lineage})
+        out_schema = reduce(unify_schemas, [pa.ipc.read_schema(pa.py_buffer(b)) for b in schemas],
+                            m.schema or pa.schema([]))
         return self._commit(lineage, wm=-1, out_schema=out_schema,
                             elapsed=time.perf_counter() - t0, plan="bootstrap")
 
@@ -684,10 +717,7 @@ class LakeTable:
     def _out_schema(self, ev_schema: pa.Schema) -> pa.Schema:
         """The unified output schema: lake schema ∪ incoming payload."""
         m = self.manifest
-        payload = pa.schema([  # doc_id + payload columns
-            pa.field(n, t) for n, t in zip(ev_schema.names, ev_schema.types)
-            if n not in _META_COLS and n != "op"
-        ])
+        payload = _payload_schema(ev_schema)
         return payload if m.schema is None else unify_schemas(m.schema, payload)
 
     def _plan_ctx(self, ev_schema: pa.Schema, delta: bool) -> tuple[pa.Schema, dict]:

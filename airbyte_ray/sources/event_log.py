@@ -129,22 +129,23 @@ def log_max_lsn(paths: str | list[str]) -> int | None:
     return stat_minmax(paths, "lsn")[1]
 
 
-def _file_footer(f: str, min_lsn: int, max_lsn: int | None) -> tuple[bytes, int]:
-    """ONE footer read of one log file: its serialized Arrow schema and an
-    upper bound on its rows in the window ``min_lsn < lsn <= max_lsn`` —
-    the rows of every row group whose ``lsn`` statistics meet the window (a
-    row group without statistics counts whole)."""
+def _file_footer(f: str, min_lsn: int, max_lsn: int | None) -> tuple[bytes, list[int], int]:
+    """ONE footer read of one log file: its serialized Arrow schema, the row
+    groups whose ``lsn`` statistics meet the window ``min_lsn < lsn <=
+    max_lsn`` (a row group without statistics meets it) and their rows, an
+    upper bound on the file's rows in the window."""
     md = pq.read_metadata(f)
     leaf = _leaf_index(md, "lsn")
-    rows = 0
+    groups, rows = [], 0
     for rg in range(md.num_row_groups):
         g = md.row_group(rg)
         st = None if leaf is None else g.column(leaf).statistics
         if st is not None and st.has_min_max and (
                 st.max <= min_lsn or (max_lsn is not None and st.min > max_lsn)):
             continue
+        groups.append(rg)
         rows += g.num_rows
-    return md.schema.to_arrow_schema().serialize().to_pybytes(), rows
+    return md.schema.to_arrow_schema().serialize().to_pybytes(), groups, rows
 
 
 @dataclass
@@ -159,10 +160,29 @@ class EventLogScan:
     rows: int
     min_lsn: int
     max_lsn: int | None
+    #: each file's row groups whose ``lsn`` statistics meet the window
+    row_groups: dict[str, list[int]]
 
     @property
     def files(self) -> list[str]:
         return [f for fs in self.by_schema.values() for f in fs]
+
+    def table(self, files: list[str]) -> pa.Table:
+        """The window's rows of ``files`` as one table with the unified
+        schema: each file reads only its row groups that meet the window
+        (``ParquetFile.read_row_groups``, no dataset per file), masked to
+        ``min_lsn < lsn <= max_lsn`` — a row group that straddles a bound,
+        or has no statistics, holds rows outside it."""
+        def read(f: str) -> pa.Table:
+            with pq.ParquetFile(f) as pf:
+                t = pf.read_row_groups(self.row_groups[f], use_threads=False)
+            keep = pc.greater(t["lsn"], pa.scalar(self.min_lsn, pa.int64()))
+            if self.max_lsn is not None:
+                keep = pc.and_(keep, pc.less_equal(t["lsn"], pa.scalar(self.max_lsn, pa.int64())))
+            return conform_table(t.filter(keep), self.schema)
+
+        parts = [read(f) for f in files if self.row_groups[f]]
+        return pa.concat_tables(parts) if parts else self.schema.empty_table()
 
     def dataset(self) -> ray.data.Dataset:
         """The window as one Dataset with the unified schema (row-group
@@ -190,13 +210,14 @@ def scan_event_log(paths: str | list[str], min_lsn: int = -1,
     footers = _fanout_footers(files, partial(_file_footer, min_lsn=min_lsn, max_lsn=max_lsn),
                               list)
     by_schema: dict[bytes, list[str]] = {}
-    for f, (b, _) in zip(files, footers):
+    for f, (b, _, _) in zip(files, footers):
         by_schema.setdefault(b, []).append(f)
     schema = reduce(
         unify_schemas,
         (pa.ipc.read_schema(pa.py_buffer(b)) for b in by_schema),
     )
-    return EventLogScan(by_schema, schema, sum(n for _, n in footers), min_lsn, max_lsn)
+    return EventLogScan(by_schema, schema, sum(n for _, _, n in footers), min_lsn, max_lsn,
+                        {f: g for f, (_, g, _) in zip(files, footers)})
 
 
 def read_event_log_with_schema(

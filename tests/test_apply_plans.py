@@ -49,6 +49,10 @@ from test_schema_evolution import (  # noqa: F401
     test_schema_history_ddl_log,
     test_single_run_mixed_epochs,
 )
+from test_segment_io import (  # noqa: F401
+    test_every_segment_is_zstd_without_dictionary,
+    test_old_format_lake_keeps_working,
+)
 
 THRESHOLD = {"one_task": float("inf"), "exchange": 0}
 

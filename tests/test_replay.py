@@ -202,11 +202,10 @@ def test_bootstrap_writes_one_file_per_block_per_partition(fixtures, blocks):
 
 def test_bootstrap_runs_upstream_once_per_block(fixtures, tmp_path):
     """A snapshot that is a pipeline, not a table, runs its upstream step
-    once per block for the bootstrap, plus what the schema probe runs — the
-    bootstrap neither sizes nor reshapes its input first.  The probe
-    (``Dataset.schema()``, a ``limit(1)`` execution) runs a block or two
-    at 1 CPU; with more CPUs it may start every block before the limit
-    stops it, so the bound is one pass for each."""
+    exactly once per block: the bootstrap neither sizes nor reshapes its
+    input first, and takes the manifest schema from what its block tasks
+    return instead of a ``Dataset.schema()`` probe (a ``limit(1)``
+    execution that, with several CPUs, may start every block)."""
     base, _, _, lake_dir = fixtures
     calls = tmp_path / "calls"
     calls.mkdir()
@@ -221,7 +220,7 @@ def test_bootstrap_runs_upstream_once_per_block(fixtures, tmp_path):
     blocks = snap.num_blocks()
     lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
     lake.init_snapshot(snap.map_batches(upstream, batch_format="pyarrow"))
-    assert blocks == 8 and len(list(calls.iterdir())) <= 2 * blocks
+    assert blocks == 8 and len(list(calls.iterdir())) == blocks
     _assert_matches_oracle(lake, base, [])
 
 
