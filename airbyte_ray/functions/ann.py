@@ -22,6 +22,7 @@ import ray
 import ray.data
 
 from ..config import _worker_state
+from ..state.atomic import commit_json
 
 
 def _matrix(t: pa.Table, col: str) -> np.ndarray:
@@ -282,7 +283,6 @@ def build_ivf_index(
     (``index_dir/centroids.npy``).  :func:`ivf_topk_indexed` then reads ONLY
     the probed cells' partitions — scan volume ∝ nprobe/n_cells instead of
     a full-corpus filter pass.  Returns the trained centroids."""
-    import json
     import os
 
     c = train_ivf_centroids(ds, col=col, n_cells=n_cells, sample=sample, seed=seed)
@@ -290,9 +290,8 @@ def build_ivf_index(
         index_dir, partition_cols=["cell"]
     )
     np.save(os.path.join(index_dir, "centroids.npy"), c)
-    with open(os.path.join(index_dir, "ivf_meta.json"), "w") as f:
-        json.dump({"n_cells": int(len(c)), "dim": int(c.shape[1]),
-                   "col": col, "id_col": id_col}, f)
+    commit_json(os.path.join(index_dir, "ivf_meta.json"),
+                {"n_cells": int(len(c)), "dim": int(c.shape[1]), "col": col, "id_col": id_col})
     return c
 
 

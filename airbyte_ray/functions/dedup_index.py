@@ -65,6 +65,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..state.atomic import commit_json
 from .dedup import _band_rows, _minhash_batch
 
 _DEFAULT_SEED = 97  # MinHasher's default — recorded in meta for the probe side
@@ -116,10 +117,7 @@ def build_minhash_index(
             .drop_columns(["sig"]), n_shards), batch_format="pyarrow")
         .write_parquet(band_dir, partition_cols=["shard"])
     )
-    tmp = os.path.join(index_dir, "meta.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "meta.json"))
+    commit_json(os.path.join(index_dir, "meta.json"), meta)
     return meta
 
 

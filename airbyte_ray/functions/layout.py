@@ -41,6 +41,7 @@ import ray
 import ray.data
 
 from ..sources.event_log import _fanout_footers, _file_stat_minmax
+from ..state.atomic import replace_atomically
 
 
 def _files(path: str | list[str]) -> list[str]:
@@ -263,8 +264,7 @@ def compact_clustered(
         t = pa.concat_tables([pq.read_table(f) for f in fs])
         t = t.take(pc.sort_indices(t[col]))
         out = os.path.join(out_dir, f"compact-{run}-{idx:05d}.parquet")
-        pq.write_table(t, out + ".tmp")
-        os.replace(out + ".tmp", out)
+        replace_atomically(out, lambda tmp: pq.write_table(t, tmp))
         for f in fs:
             os.remove(f)
             for side in glob.glob(f + ".bloom-*"):

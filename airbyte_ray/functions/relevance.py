@@ -62,6 +62,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..state.atomic import commit_json
 from .agg import grouped_topn
 
 
@@ -303,10 +304,7 @@ def build_text_index(
     )
     meta = {"n_shards": n_shards, "id_col": id_col,
             "n_docs": n_docs, "sum_dl": sum_dl}
-    tmp = os.path.join(index_dir, "meta.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "meta.json"))
+    commit_json(os.path.join(index_dir, "meta.json"), meta)
     return meta
 
 
@@ -327,10 +325,7 @@ def append_to_text_index(ds: ray.data.Dataset, index_dir: str,
     )
     meta["n_docs"] += n_docs
     meta["sum_dl"] += sum_dl
-    tmp = os.path.join(index_dir, "meta.json.tmp")
-    with open(tmp, "w") as f:
-        json.dump(meta, f)
-    os.replace(tmp, os.path.join(index_dir, "meta.json"))
+    commit_json(os.path.join(index_dir, "meta.json"), meta)
     return meta
 
 

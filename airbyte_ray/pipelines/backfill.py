@@ -53,6 +53,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..sources.event_log import _expand, log_max_lsn
+from ..state.atomic import commit_json
 from .replay import LakeTable
 
 _STATE_FILE = "_backfill.json"
@@ -150,7 +151,8 @@ def incremental_snapshot(
     bounds_key = json.dumps([str(b) for b in chunk_bounds])
     start = 0
     if os.path.exists(state_path):
-        st = json.load(open(state_path))
+        with open(state_path) as fh:
+            st = json.load(fh)
         if st.get("bounds") == bounds_key:
             start = int(st.get("next", 0))
     stats = []
@@ -168,8 +170,5 @@ def incremental_snapshot(
                 raise ValueError(
                     f"read_chunk returned keys outside [{lo!r}, {hi!r})")
         stats.append(backfill_chunk(lake, wal_paths, chunk, key_col=key_col))
-        tmp = state_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"bounds": bounds_key, "next": i + 1}, fh)
-        os.replace(tmp, state_path)
+        commit_json(state_path, {"bounds": bounds_key, "next": i + 1})
     return stats

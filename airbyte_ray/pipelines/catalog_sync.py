@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import ray.data
 
+from ..state.atomic import commit_json
 from .replay import _META_COLS, LakeTable, ReplayConfig
 
 
@@ -91,15 +92,7 @@ class CdcCatalogEngine:
             return json.load(f)
 
     def _commit_global(self, state: dict) -> None:
-        import json
-
-        os.makedirs(self.root, exist_ok=True)
-        tmp = self._global_state_path() + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(state, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self._global_state_path())
+        commit_json(self._global_state_path(), state)
 
     def sync_shared(self, log_paths: str | list[str], stream_col: str = "stream") -> dict:
         """GLOBAL state: many streams tail ONE shared WAL (the single

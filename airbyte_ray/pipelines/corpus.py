@@ -42,6 +42,7 @@ from ..functions.pack import pack_sequences
 from ..functions.sample import stratified_sample
 from ..functions.text import repetition_stats, scrub_regex
 from ..functions.dedup import exact_dedup
+from ..state.atomic import commit_json
 
 
 def hash_tokenize(col: str = "clean_text", out: str = "tokens",
@@ -213,9 +214,7 @@ def build_corpus(
         mode="overwrite",  # deterministic names: a retry REPLACES its own
         # files; Ray requires overwrite mode for write_uuid-free names
     )
-    with open(marker + ".tmp", "w") as f:
-        json.dump(metrics, f)
-    os.replace(marker + ".tmp", marker)
+    commit_json(marker, metrics)
     return metrics
 
 

@@ -42,6 +42,7 @@ import ray.data
 
 from ..config import DestinationSyncMode, StreamConfig, SyncMode
 from ..schemas import conform_table, unify_schemas
+from ..state.atomic import commit_json, replace_atomically
 from .replay import stable_hash
 
 EMITTED_AT = "_airbyte_emitted_at"
@@ -63,12 +64,7 @@ class StreamState:
             return json.load(f)
 
     def commit(self, state: dict) -> None:
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(state, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, self.path)
+        commit_json(self.path, state)
 
 
 def _cursor_scalar(value, typ: pa.DataType) -> pa.Scalar:
@@ -141,11 +137,7 @@ def _merge_dedup_partition(group: pa.Table, ctx: dict) -> pa.Table:
     merged = merged.take(pc.sort_indices(merged, sort_keys=[(pk[0], "ascending")]))
 
     rel = os.path.join(f"part={part:05d}", f"seg-{ctx['sync_id']:08d}.parquet")
-    abs_path = os.path.join(ctx["dest"], rel)
-    os.makedirs(os.path.dirname(abs_path), exist_ok=True)
-    tmp = abs_path + f".tmp-{os.getpid()}"
-    pq.write_table(merged, tmp)
-    os.replace(tmp, abs_path)
+    replace_atomically(os.path.join(ctx["dest"], rel), lambda tmp: pq.write_table(merged, tmp))
     out = {"part": [part], "path": [rel], "rows": [merged.num_rows]}
     if cursor and cursor in t.schema.names:
         # max cursor of the INCOMING slice only (not old segments) — folded

@@ -73,6 +73,7 @@ import ray.data
 
 from ..schemas import CDC_DELETED_AT, CDC_UPDATED_AT, conform_table, unify_schemas
 from ..sources.event_log import EventLogScan, scan_event_log
+from ..state.atomic import replace_atomically
 from ..state.manifest import Manifest, PartitionEntry
 
 #: event-envelope columns that are not payload
@@ -280,7 +281,7 @@ _LINEAGE_SCHEMA = pa.schema(
 def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
                    lsn_lo: int = 0, lsn_hi: int = 0, n_events: int = 0,
                    is_delta: bool = False) -> dict:
-    """Write one segment file atomically (tmp + ``os.replace``) and return
+    """Write one segment file atomically (:func:`replace_atomically`) and return
     its lineage row — the lake's only writer (bootstrap, delta, full
     rewrite, fold, ``compact()``).  Segments are zstd without dictionary
     pages: ``tokens`` holds ~50k distinct ids in a 2.6k-row partition, where
@@ -290,11 +291,8 @@ def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
     dictionary pages, read the same.  The path is
     deterministic, so a retried task rewrites identical bytes; the checksum
     is an order-insensitive hash of the file's (doc_id, _ab_lsn) pairs."""
-    abs_path = os.path.join(lake_dir, rel)
-    os.makedirs(os.path.dirname(abs_path), exist_ok=True)
-    tmp = abs_path + f".tmp-{os.getpid()}"
-    pq.write_table(seg, tmp, compression="zstd", use_dictionary=False)
-    os.replace(tmp, abs_path)
+    replace_atomically(os.path.join(lake_dir, rel), lambda tmp: pq.write_table(
+        seg, tmp, compression="zstd", use_dictionary=False))
     checksum = int(
         (stable_hash(seg["doc_id"]) + seg[LSN_COL].to_numpy().astype(np.uint64)).sum()
         % np.uint64(2**63 - 1)
@@ -897,7 +895,8 @@ class LakeTable:
         files whose removal never ran.  Segments whose run-lsn suffix is
         NEWER than the committed watermark are skipped — they may belong to
         an apply whose commit is still in flight — so vacuum is safe to run
-        any time.  Returns the number of files removed."""
+        any time.  Segment and manifest tmps over an hour old go too.
+        Returns the number of files removed."""
         import glob as _g
         import re as _re
 
@@ -922,11 +921,12 @@ class LakeTable:
                     continue
                 os.remove(f)
                 removed += 1
-        # crashed writers leave full-size *.tmp-<pid> temporaries next to
-        # the atomic-replace target; an AGE guard (1h) avoids racing a
-        # writer that is mid-write right now
+        # crashed writers leave their tmp files (segments, manifest commits)
+        # next to the atomic-replace target; an AGE guard (1h) avoids racing
+        # a writer that is mid-write right now
         cutoff = time.time() - 3600
-        for f in _g.glob(os.path.join(self.lake_dir, "part=*", "*.parquet.tmp-*")):
+        for f in (_g.glob(os.path.join(self.lake_dir, "part=*", "*.parquet.tmp-*"))
+                  + _g.glob(Manifest.path_for(self.lake_dir) + ".tmp-*")):
             try:
                 if os.path.getmtime(f) < cutoff:
                     os.remove(f)

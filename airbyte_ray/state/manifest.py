@@ -6,7 +6,8 @@ flushes segments, and only *then* emits the committed STATE message
 ``AirbyteFileOffsetBackingStore.java:39-97``).  Our analog:
 
 * data segments are written first (deterministic paths, overwrite-idempotent);
-* then the manifest JSON is atomically replaced (temp file + ``os.replace``).
+* then the manifest JSON is atomically replaced by :func:`.atomic.commit_json`
+  (a per-writer tmp file, fsynced, renamed; then the directory fsynced).
 
 A crash between the two leaves orphan segment files that are simply not
 visible; a resumed run recomputes them at the same path (same inputs → same
@@ -24,6 +25,8 @@ import os
 from dataclasses import dataclass, field, asdict
 
 import pyarrow as pa
+
+from .atomic import commit_json
 
 
 @dataclass
@@ -125,24 +128,9 @@ class Manifest:
 
     def commit(self, lake_dir: str) -> None:
         """Atomic replace: the manifest becomes visible all-or-nothing."""
-        p = self.path_for(lake_dir)
-        os.makedirs(os.path.dirname(p), exist_ok=True)
         d = asdict(self)
         d["partitions"] = {str(k): asdict(v) for k, v in self.partitions.items()}
-        tmp = p + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(d, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, p)
-        # fsync the DIRECTORY too: without it a power loss after commit()
-        # returns can revert the rename, breaking exactly-once visibility
-        # for callers that already pruned superseded files (review finding)
-        dfd = os.open(os.path.dirname(p), os.O_RDONLY)
-        try:
-            os.fsync(dfd)
-        finally:
-            os.close(dfd)
+        commit_json(self.path_for(lake_dir), d)
 
     # -- lineage invariants (asserted in tests; FIXTURES F6.4) -------------
     def lineage_rows(self) -> int:

@@ -26,6 +26,8 @@ import json
 import os
 from typing import Any, Mapping
 
+from .atomic import commit_json
+
 Descriptor = tuple[str, str | None]  # (name, namespace)
 
 
@@ -128,12 +130,7 @@ def import_state(
             "namespace": ns,
             "migrated_blob": blob,
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(doc, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        commit_json(path, doc)
         imported.append(name)
     out = {"flavor": state_flavor(state), "imported": sorted(imported),
            "skipped": sorted(skipped), "shared": shared}
@@ -141,14 +138,8 @@ def import_state(
         wm = shared.get("lsn", shared.get("watermark"))
         gpath = os.path.join(global_root, "_global_state.json")
         if wm is not None and not os.path.exists(gpath):
-            os.makedirs(global_root, exist_ok=True)
-            tmp = gpath + ".tmp"
-            with open(tmp, "w") as f:
-                json.dump({"watermark": int(wm), "runs": [],
-                           "migrated_blob": shared}, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, gpath)
+            commit_json(gpath, {"watermark": int(wm), "runs": [],
+                                "migrated_blob": shared})
             out["global_watermark"] = int(wm)
     return out
 
@@ -166,7 +157,7 @@ def export_legacy(state_dir: str) -> dict:
     if not os.path.isdir(state_dir):
         return out
     for fn in sorted(os.listdir(state_dir)):
-        if not fn.endswith(".json") or fn.endswith(".tmp"):
+        if not fn.endswith(".json"):
             continue
         with open(os.path.join(state_dir, fn)) as f:
             st = json.load(f)
