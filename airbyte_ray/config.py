@@ -89,10 +89,11 @@ class StreamConfig:
     destination_sync_mode: DestinationSyncMode = DestinationSyncMode.append
     cursor_field: str | None = None  # required for incremental
     primary_key: list[str] = field(default_factory=list)  # required for append_dedup
-    num_partitions: int = 64  # dedup hash-partition fan-out
+    #: append_dedup: partitions of the destination LakeTable (fixed at first write)
+    num_partitions: int = 64
     #: sink format for append/overwrite segments (the reference's
     #: Parquet/JSONL/CSV serialized buffers, base-java-s3 §2.2);
-    #: append_dedup always writes parquet (merge re-reads segments).
+    #: append_dedup always writes a LakeTable (its own parquet segments).
     format: str = "parquet"  # parquet | json | csv
     #: DatetimeBasedCursor analog (declarative/incremental/
     #: datetime_based_cursor.py:88-137): split the incremental read into

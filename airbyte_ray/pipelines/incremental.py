@@ -8,21 +8,24 @@ Reference semantics re-expressed (SURVEY §2.1/§2.4/§2.5):
   ``AbstractJdbcSource.java:322-334``) is subsumed by append_dedup's
   latest-per-key merge being idempotent for identical rows;
 * state watermark = running ``max(cursor)``
-  (``StateDecoratingIterator.java:113-171``) → ``ds.max(cursor)`` once per
-  sync, committed only after the destination write lands
+  (``StateDecoratingIterator.java:113-171``) → the footer max of what the
+  sync wrote, committed only after the destination write lands
   (``BufferedStreamConsumer.java:205-290`` committed-after-flush);
 * destination modes (``airbyte-protocol.md:418-421``):
   ``overwrite`` → rewrite the stream directory,
   ``append`` → add a new segment directory per sync,
-  ``append_dedup`` → hash-partitioned latest-per-primary-key merge ordered
-  by ``(cursor desc, _airbyte_emitted_at desc)`` — the SCD2 active-row
-  projection (``stream_processor.py:884-898, 1076-1115``).
+  ``append_dedup`` → a :class:`~.replay.LakeTable`: each sync's rows go in
+  as upsert events (``lsn`` = the sync id, lake key = the primary key) and
+  the lake keeps the latest row per key by ``(cursor desc,
+  _airbyte_emitted_at desc)`` — the SCD2 active-row projection
+  (``stream_processor.py:884-898, 1076-1115``).
 
 Layout (resumable, per SURVEY §2.2 filename/partition layout)::
 
-    <dest>/<stream>/seg-<sync_id>/part-*.parquet      # append / overwrite
-    <dest>/<stream>/part=NNNNN/seg-<sync_id>.parquet  # append_dedup
-    <state_dir>/<stream>.json                         # committed cursor state
+    <dest>/<stream>/seg-<sync_id>/part-*.parquet     # append / overwrite
+    <dest>/<stream>/part=NNNNN/seg-<run id>.parquet  # append_dedup (LakeTable)
+    <dest>/<stream>/_manifest/manifest.json          # append_dedup commit point
+    <state_dir>/<stream>.json                        # committed cursor state
 """
 
 from __future__ import annotations
@@ -33,17 +36,15 @@ import shutil
 import time
 from functools import partial
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
 from ..config import DestinationSyncMode, StreamConfig, SyncMode
-from ..schemas import conform_table, unify_schemas
-from ..state.atomic import commit_json, replace_atomically
-from .replay import stable_hash
+from ..sources.event_log import stat_minmax
+from ..state.atomic import commit_json
+from .replay import _META_COLS, DELETED_COL, LSN_COL, LakeTable, ReplayConfig
 
 EMITTED_AT = "_airbyte_emitted_at"
 
@@ -97,54 +98,57 @@ def _cursor_json(scalar) -> object:
 
 
 # ---------------------------------------------------------------------------
-# append_dedup partition merge
+# append_dedup: a sync's rows as upsert events for the stream's LakeTable
 # ---------------------------------------------------------------------------
 
-def _dedup_latest(t: pa.Table, pk: list[str], cursor: str | None) -> pa.Table:
-    """Latest row per primary key, ordered by (cursor desc, emitted_at desc).
-    Vectorized: sort + first-occurrence mask (row_number()=1 analog)."""
-    if t.num_rows == 0:
-        return t
-    keys = [(cursor, "descending")] if cursor else []
-    if EMITTED_AT in t.schema.names:
-        keys.append((EMITTED_AT, "descending"))
-    if keys:
-        t = t.take(pc.sort_indices(t, sort_keys=keys))
-    if len(pk) == 1:
-        ids = t[pk[0]].to_numpy(zero_copy_only=False)
-    else:
-        ids = pd.MultiIndex.from_arrays([t[c].to_numpy(zero_copy_only=False) for c in pk]).to_numpy()
-    first = ~pd.Index(ids).duplicated(keep="first")
-    return t.filter(pa.array(first))
+#: columns a source cannot bring into an append_dedup destination: the lake's
+#: event envelope (``_ab_cdc_*`` too, by prefix) and segment bookkeeping
+_ENVELOPE = frozenset(_META_COLS) | {"tgt", LSN_COL, DELETED_COL}
 
 
-def _merge_dedup_partition(group: pa.Table, ctx: dict) -> pa.Table:
-    pk, cursor = ctx["pk"], ctx["cursor"]
-    part = int(group["part"][0].as_py())
-    t = _dedup_latest(group.drop_columns(["part"]), pk, cursor)
-    schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
-    t = conform_table(t, schema)
+def _check_envelope(names: list[str], pk: list[str]) -> None:
+    """Refuse source columns named like the lake's envelope columns (and a
+    ``doc_id`` that is not the whole primary key, which the lake key would
+    replace): the lake would drop, overwrite or trip on them."""
+    bad = [n for n in names if n in _ENVELOPE or n.startswith("_ab_cdc_")
+           or (n == "doc_id" and pk != ["doc_id"])]
+    if bad:
+        raise ValueError(f"append_dedup source columns {bad} are lake envelope "
+                         "columns; rename them before the sync")
 
-    old_rel = ctx["old_segments"].get(part)
-    if old_rel is not None:
-        old = conform_table(pq.read_table(os.path.join(ctx["dest"], old_rel)), schema)
-        merged = _dedup_latest(pa.concat_tables([t, old]), pk, cursor)
-        # new rows sort first on ties (same cursor) because concat order is
-        # stable for equal sort keys → incoming re-reads win, matching the
-        # reference's last-delivery-wins on identical cursors
-    else:
-        merged = t
-    merged = merged.take(pc.sort_indices(merged, sort_keys=[(pk[0], "ascending")]))
 
-    rel = os.path.join(f"part={part:05d}", f"seg-{ctx['sync_id']:08d}.parquet")
-    replace_atomically(os.path.join(ctx["dest"], rel), lambda tmp: pq.write_table(merged, tmp))
-    out = {"part": [part], "path": [rel], "rows": [merged.num_rows]}
-    if cursor and cursor in t.schema.names:
-        # max cursor of the INCOMING slice only (not old segments) — folded
-        # into lineage so the sync needs no second source pass for the state
-        mx = pc.max(t[cursor])
-        out["max_cursor"] = pa.array([mx.as_py()], type=t.schema.field(cursor).type)
-    return pa.table(out)
+def _dedup_policy(cursor: str | None) -> tuple:
+    """Latest row per primary key by (cursor desc, emitted_at desc) — the
+    SCD2 active-row projection (``stream_processor.py:884-898``)."""
+    return tuple((c, "descending") for c in (cursor, EMITTED_AT) if c)
+
+
+def _lake_key(t: pa.Table, pk: list[str]) -> pa.Array:
+    """A collision-free string key of the primary-key columns: each value as
+    ``<byte length>:<text>`` (``~:`` for null), joined by ``:``, so
+    ``("a|b", "c")`` and ``("a", "b|c")`` stay apart."""
+    parts = []
+    for c in pk:
+        s = pc.cast(t[c], pa.string())
+        parts += [pc.fill_null(pc.cast(pc.binary_length(s), pa.string()), "~"),
+                  pc.fill_null(s, "")]
+    return pc.binary_join_element_wise(*parts, ":")
+
+
+def _stamp(t: pa.Table, pk: list[str], sync_id: int) -> pa.Table:
+    """One batch of a sync as upsert events: ``_airbyte_emitted_at`` (unless
+    the rows carry one), ``lsn`` = the sync id (the lake's ``lsn >
+    watermark`` guard makes a rerun of a committed sync a no-op), ``op`` and
+    the lake key ``doc_id`` (the column itself when it is the primary key)."""
+    import datetime as _dt
+
+    n = t.num_rows
+    if EMITTED_AT not in t.schema.names:
+        now = _dt.datetime.now(_dt.timezone.utc)
+        t = t.append_column(EMITTED_AT, pa.repeat(pa.scalar(now, pa.timestamp("us", tz="UTC")), n))
+    t = (t.append_column("lsn", pa.repeat(pa.scalar(sync_id, pa.int64()), n))
+         .append_column("op", pa.repeat(pa.scalar("upsert"), n)))
+    return t if pk == ["doc_id"] else t.append_column("doc_id", _lake_key(t, pk))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +165,19 @@ class SyncEngine:
     def _stream_dir(self, name: str) -> str:
         return os.path.join(self.dest_dir, name)
 
+    def _lake(self, name: str, state: dict, cfg: StreamConfig | None = None) -> LakeTable:
+        """The stream's append_dedup destination: a :class:`LakeTable` at
+        ``<dest>/<stream>`` keyed by the primary key and ranked by
+        :func:`_dedup_policy` (``cfg`` None: the lake's recorded policy).
+        A stream state that lists ``dedup_segments`` comes from the layout
+        before the lake, which has no manifest to read."""
+        if "dedup_segments" in state:
+            raise ValueError(f"stream {name}: its state lists dedup_segments, a destination "
+                             "layout this engine no longer reads; re-sync into a fresh "
+                             "destination")
+        return LakeTable(self._stream_dir(name), None if cfg is None else ReplayConfig(
+            cfg.num_partitions, merge_policy=_dedup_policy(cfg.cursor_field)))
+
     def sync(self, cfg: StreamConfig, src_paths: str | list[str],
              transform=None) -> dict:
         """Run one sync.  ``transform`` (optional ``pa.Table → pa.Table``,
@@ -169,6 +186,8 @@ class SyncEngine:
         state to advance."""
         st = StreamState(self.state_dir, cfg.name)
         state = st.load()
+        if cfg.destination_sync_mode is DestinationSyncMode.append_dedup:
+            lake = self._lake(cfg.name, state, cfg)
         sync_id = state["sync_id"] + 1
         t0 = time.perf_counter()
 
@@ -217,9 +236,7 @@ class SyncEngine:
             # of this same sync_id (commit bumps sync_id; read() sees only
             # state-visible segments) — clear it first.
             if os.path.isdir(path):
-                import shutil as _sh
-
-                _sh.rmtree(path)
+                shutil.rmtree(path)
             if cfg.format == "json":
                 dset.write_json(path)
             elif cfg.format == "csv":
@@ -233,29 +250,41 @@ class SyncEngine:
                 dset.write_parquet(path)
 
         stale_dirs: list[str] = []
-        mx = None
+        mx = rows = None
         if cfg.destination_sync_mode is DestinationSyncMode.append_dedup:
-            rows, mx = self._write_dedup(cfg, ds, sdir, sync_id, state)
+            # one lake commit (its manifest lists the files, schema and
+            # partition count), then the state commit below; the lake
+            # removes the files its commit superseded
+            if (schema := ds.schema()) is not None:
+                _check_envelope(schema.names, cfg.primary_key)
+                # the events' schema is the stamped source schema: probing
+                # the mapped dataset would read and stamp a block twice
+                stamp = partial(_stamp, pk=cfg.primary_key, sync_id=sync_id)
+                lake._apply(stamp(schema.base_schema.empty_table()).schema, lake.config.delta_mode,
+                            ds.map_batches(stamp, batch_format="pyarrow"), lake.manifest.watermark)
+            state["primary_key"] = cfg.primary_key
+            rows = lake.manifest.lineage_rows()
         elif cfg.destination_sync_mode is DestinationSyncMode.overwrite:
             _write(ds, os.path.join(sdir, seg))
             stale_dirs = [s for s in state.get("segments", []) if s != seg]
             state["segments"] = [seg]  # visibility flips at state commit
-            rows = None
         else:  # append
             _write(ds, os.path.join(sdir, seg))
             state["segments"] = state.get("segments", []) + [seg]
-            rows = None
 
         # state committed only after the write landed.  Max-cursor comes from
-        # the write itself (dedup lineage / parquet footer stats of the just-
-        # written segment) — ONE source pass per sync; only the non-parquet
-        # append formats (no footer stats) fall back to a source re-scan.
+        # footer stats of what the write left (the just-written segment, or
+        # the lake's live files: a rerun the lake refused still commits the
+        # cursor of the rows it holds) — ONE source pass per sync; only the
+        # non-parquet append formats (no footer stats) re-scan the source.
         if cfg.sync_mode is SyncMode.incremental and cfg.cursor_field:
-            if cfg.destination_sync_mode is not DestinationSyncMode.append_dedup:
-                if cfg.format == "parquet":
-                    mx = _footer_max(os.path.join(sdir, seg), cfg.cursor_field)
-                else:
-                    mx = ray.data.read_parquet(src_paths, filter=flt).max(cfg.cursor_field)
+            if cfg.destination_sync_mode is DestinationSyncMode.append_dedup:
+                mx = stat_minmax(lake.segment_paths(), cfg.cursor_field)[1]
+            elif cfg.format == "parquet":
+                seg_dir = os.path.join(sdir, seg)  # Ray writes none for zero rows
+                mx = stat_minmax(seg_dir, cfg.cursor_field)[1] if os.path.isdir(seg_dir) else None
+            else:
+                mx = ray.data.read_parquet(src_paths, filter=flt).max(cfg.cursor_field)
             if mx is not None:
                 state["cursor"] = _cursor_json(mx)
         state["sync_id"] = sync_id
@@ -267,19 +296,6 @@ class SyncEngine:
         # committed-after-flush discipline; round-1 ADVICE fix).
         for e in stale_dirs:
             shutil.rmtree(os.path.join(sdir, e), ignore_errors=True)
-        if cfg.destination_sync_mode is DestinationSyncMode.append_dedup:
-            # GC superseded per-partition segments (each merge rewrites its
-            # partition; without this every sync left a full table copy —
-            # review finding).  Runs after the commit, same discipline.
-            import glob as _g
-
-            live = {
-                os.path.normpath(os.path.join(sdir, e["path"]))
-                for e in state.get("dedup_segments", {}).values()
-            }
-            for f in _g.glob(os.path.join(sdir, "part=*", "seg-*.parquet")):
-                if os.path.normpath(f) not in live:
-                    os.remove(f)
         stats["cursor"] = state["cursor"]
         if rows is not None:
             stats["rows"] = rows
@@ -291,8 +307,6 @@ class SyncEngine:
         windows of ``cfg.slice_window_s`` from the (lookback-lowered) state
         cursor to the source's footer max.  Metadata-only."""
         import datetime as _dt
-
-        from ..sources.event_log import stat_minmax
 
         files = _parquet_files(src_paths)
         typ = pq.read_schema(files[0]).field(cfg.cursor_field).type
@@ -314,65 +328,15 @@ class SyncEngine:
             lo = hi
         return out
 
-    def _write_dedup(self, cfg, ds, sdir, sync_id, state) -> tuple[int, object]:
-        pk = cfg.primary_key
-        P = cfg.num_partitions
-        pinned = state.get("dedup_num_partitions")
-        if pinned is not None and pinned != P:
-            # same contract as LakeTable: existing segments are keyed by the
-            # original hash partitioning, and re-hashing to a different P
-            # would duplicate primary keys across partitions (review finding)
-            raise ValueError(
-                f"num_partitions is fixed at first append_dedup sync "
-                f"(state has {pinned}, config asks {P})"
-            )
-        state["dedup_num_partitions"] = P
-        stamped = ds.map_batches(
-            partial(_stamp_and_part, pk=pk, num_partitions=P, cursor=cfg.cursor_field),
-            batch_format="pyarrow",
-        )
-        schema = stamped.schema()
-        if schema is None:
-            return sum(e["rows"] for e in state.get("dedup_segments", {}).values()), None
-        fields = [pa.field(n, t) for n, t in zip(schema.names, schema.types) if n != "part"]
-        out_schema = pa.schema(fields)
-        prev = state.get("dedup_schema")
-        if prev:
-            out_schema = unify_schemas(
-                pa.ipc.read_schema(pa.BufferReader(bytes.fromhex(prev))), out_schema
-            )
-        ctx = {
-            "pk": pk,
-            "cursor": cfg.cursor_field,
-            "dest": sdir,
-            "schema": out_schema.serialize().to_pybytes(),
-            "old_segments": {int(k): v["path"] for k, v in state.get("dedup_segments", {}).items()},
-            "sync_id": sync_id,
-        }
-        lineage = stamped.groupby("part").map_groups(
-            partial(_merge_dedup_partition, ctx=ctx), batch_format="pyarrow"
-        ).take_all()
-        segs = dict(state.get("dedup_segments", {}))
-        mx = None
-        for r in lineage:
-            segs[str(int(r["part"]))] = {"path": r["path"], "rows": int(r["rows"])}
-            v = r.get("max_cursor")
-            if v is not None and (mx is None or v > mx):
-                mx = v
-        state["dedup_segments"] = segs
-        state["dedup_schema"] = out_schema.serialize().to_pybytes().hex()
-        return sum(e["rows"] for e in segs.values()), mx
-
     # -- read back ---------------------------------------------------------
     def read(self, stream: str, dedup: bool = False, format: str = "parquet") -> ray.data.Dataset:
         """Committed view of a stream (only state-visible segments)."""
         sdir = self._stream_dir(stream)
         st = StreamState(self.state_dir, stream).load()
         if dedup:
-            # partitioning=None: segment dirs are named part=NNNNN — suppress
-            # hive-partition column inference
-            paths = [os.path.join(sdir, e["path"]) for e in st.get("dedup_segments", {}).values()]
-            return ray.data.read_parquet(paths, partitioning=None)
+            ds = self._lake(stream, st).read()
+            pk = st.get("primary_key")
+            return ds if pk in (None, ["doc_id"]) else ds.drop_columns(["doc_id"])
         import glob as _g
 
         ext = {"parquet": "parquet", "json": "json", "csv": "csv", "avro": "avro"}[format]
@@ -452,33 +416,3 @@ def _first_parquet(src_paths) -> str:
     if not files:
         raise FileNotFoundError(f"no parquet files under {src_paths}")
     return files[0]
-
-
-def _footer_max(seg_dir: str, col: str):
-    """Max of ``col`` over a segment directory from parquet footer row-group
-    statistics — delegates to the shared (Ray-fanned-out past 256 files)
-    helper in ``sources/event_log`` instead of a second hand-rolled
-    leaf-index scan (review finding)."""
-    from ..sources.event_log import stat_minmax
-
-    if not os.path.isdir(seg_dir):
-        return None  # empty sync: Ray writes no dir for a zero-row dataset
-    return stat_minmax(seg_dir, col)[1]
-
-
-def _stamp_and_part(t: pa.Table, pk: list[str], num_partitions: int, cursor: str | None) -> pa.Table:
-    """Stamp emitted_at + partition id; per-batch pre-dedup combiner."""
-    import datetime as _dt
-
-    if EMITTED_AT not in t.schema.names:
-        now = _dt.datetime.now(_dt.timezone.utc)
-        t = t.append_column(EMITTED_AT, pa.array([now] * t.num_rows, pa.timestamp("us", tz="UTC")))
-    t = _dedup_latest(t, pk, cursor)
-    if len(pk) == 1:
-        h = stable_hash(t[pk[0]].cast(pa.string()))
-    else:
-        h = np.zeros(t.num_rows, np.uint64)
-        for c in pk:
-            h = h * np.uint64(1099511628211) + stable_hash(t[c].cast(pa.string()))
-    part = (h % np.uint64(num_partitions)).astype(np.int64)
-    return t.append_column("part", pa.array(part))

@@ -592,7 +592,7 @@ class LakeTable:
             cfg = config or ReplayConfig()
             m = Manifest(cfg.num_partitions, merge_policy=_full_policy(cfg.merge_policy))
         elif config is not None and config.num_partitions != m.num_partitions:
-            raise ValueError("num_partitions is fixed at lake creation")
+            raise ValueError("num_partitions is fixed at first write")
         elif (config is not None and m.merge_policy is not None
               and _full_policy(config.merge_policy) != _full_policy(m.merge_policy)):
             raise ValueError(f"merge_policy is fixed at lake creation: {m.merge_policy}")
