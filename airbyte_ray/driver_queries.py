@@ -79,11 +79,13 @@ def _to_cdc(t: pa.Table) -> pa.Table:
 def q_cdc_replay_upsert(sf_dir: str) -> pa.Table:
     """Flagship: full replay of the events stream through the exactly-once
     lake (hash-partitioned LWW merge + manifest), final table returned."""
-    cdc = _events(sf_dir).map_batches(_to_cdc, batch_format="pyarrow")
+    events = _events(sf_dir)
     tmp = tempfile.mkdtemp(prefix="cdc_lake_", dir="/tmp")
     try:
         lake = LakeTable(os.path.join(tmp, "lake"), ReplayConfig(num_partitions=16))
-        lake._apply_ds(cdc, already_filtered=True)
+        # the schema from _to_cdc itself: probing the mapped events reruns a block
+        lake._apply(_to_cdc(events.schema().base_schema.empty_table()).schema, False,
+                    events.map_batches(_to_cdc, batch_format="pyarrow"), None)
         return lake.to_table()
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

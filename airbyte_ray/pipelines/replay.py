@@ -32,7 +32,9 @@ Committed rows meet new ones in ONE place, ``_resolve_partition`` (full
 rewrite, fold, ``compact()``, merge-on-read): window events ++ deltas
 (newest first) ++ base, ranked under the merge policy the lake's manifest
 records — ``_policy_order`` + ``_first_per_key``, the combiner's
-(``lww_reduce``) rule too — so delta mode takes any policy.
+(``lww_reduce``) rule too — so delta mode takes any policy.  ``read()``
+and ``compact()`` run one task per range of contiguous partitions
+(``LakeTable._ranges``): about one per CPU, of about equal manifest rows.
 
 Why this shape at 100 TB:
 
@@ -413,24 +415,25 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
                                 schema=_BOOTSTRAP_LINEAGE_SCHEMA)
 
 
-def _one_task_rows() -> int:
-    """The largest window (footer row bound) the planner runs as one task.
+def _cpus() -> float:
+    return ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
 
-    Measured on a 4-core VM (Ray 2.49.2, medians of 5 interleaved
-    fresh-lake applies; BASELINE.md has the grid): at 1 CPU one task beat
-    the exchange on every window up to 204k rows (2.15 vs 11.85 s), which
-    raised peak heap by 336 MB, so that is the cap.  With more CPUs windows
-    up to 12.3k rows still won 1.7–5.6× in delta mode and at P=8, but a
-    full apply at P=64 right after a bootstrap took 1.07–1.37× the
-    exchange's time up to 30k rows (its base resolve is the work, which
-    the bound cannot see).  That bootstrap left 8 base files per
-    partition (64 × 8), from a repartition it no longer runs; it now
-    leaves one per input block, so that loss is unmeasured today.  The
-    grid also predates the segment writer (zstd without dictionary pages)
-    and the per-file reads of lake and log files, which changed the merge
-    work of both plans."""
-    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
-    return 200_000 if cpus <= 1 else 12_000
+
+def _one_task_rows() -> int:
+    """The largest window (footer row bound) the planner runs as one task,
+    and the most manifest rows a range of :meth:`LakeTable._ranges` holds
+    unless one partition is larger on its own.
+
+    Measured for windows on a 4-core VM (Ray 2.49.2, medians of 5
+    interleaved fresh-lake applies; BASELINE.md has the grid): at 1 CPU one
+    task beat the exchange on every window up to 204k rows (2.15 vs
+    11.85 s, +336 MB peak heap), so that is the cap.  With more CPUs windows
+    up to 12.3k rows won 1.7–5.6× in delta mode at P=8, but a full apply at
+    P=64 right after a bootstrap took 1.07–1.37× the exchange's time up to
+    30k rows, on a bootstrap layout (64 × 8 base files) no longer written.
+    The grid predates the zstd segments and the per-file reads; the bound
+    was not measured for ranges."""
+    return 200_000 if _cpus() <= 1 else 12_000
 
 
 @dataclass
@@ -495,12 +498,17 @@ def _apply_window(scan: EventLogScan, targets: list[_Target], files: list[str] |
 
 
 @ray.remote
-def _compact_partition(lake_dir: str, part: int, paths: list[str], deltas: list[str],
-                       seg_schema: pa.Schema, policy: tuple, rel: str) -> dict:
-    """:meth:`LakeTable.compact`'s task: resolve one partition's files and
-    write them as one segment sorted by doc_id; returns its lineage row."""
-    rows, idx, _ = _resolve_partition(lake_dir, paths, deltas, seg_schema, policy)
-    return _write_segment(lake_dir, part, rel, _take_sorted(rows, idx))
+def _compact_range(lake_dir: str, entries: list[PartitionEntry], seg_schema: pa.Schema,
+                   policy: tuple, name: str) -> list[dict]:
+    """:meth:`LakeTable.compact`'s task: resolve a range's partitions one at
+    a time, each into one segment ``name`` sorted by doc_id; returns their
+    lineage rows."""
+    lineage = []
+    for e in entries:
+        rows, idx, _ = _resolve_partition(lake_dir, e.paths, e.delta_paths, seg_schema, policy)
+        rel = os.path.join(f"part={e.part:05d}", name)
+        lineage.append(_write_segment(lake_dir, e.part, rel, _take_sorted(rows, idx)))
+    return lineage
 
 
 def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Target],
@@ -938,27 +946,41 @@ class LakeTable:
     def compact(self) -> int:
         """Fold each multi-file partition (bootstrap blocks and/or run
         deltas) into a single base segment — write O(delta) per run, pay the
-        full rewrite once per compaction cycle.  One plain Ray task per
-        partition (:func:`_compact_partition`); commits, then removes the
-        superseded files (:meth:`_install`, as every apply does).  Returns
-        the number of partitions compacted."""
+        full rewrite once per compaction cycle.  One task per range of
+        :meth:`_ranges` that holds such partitions (:func:`_compact_range`);
+        commits, then removes the superseded files (:meth:`_install`, as
+        every apply does).  Returns the number of partitions compacted."""
         # as vacuum: work off the COMMITTED manifest — a stale handle would
         # clobber another process's newer entries and delete their files
         m = self.manifest = Manifest.load(self.lake_dir) or self.manifest
-        todo = [e for _, e in sorted(m.partitions.items()) if len(e.all_paths) > 1]
+        todo = [[e for e in rng if len(e.all_paths) > 1] for rng in self._ranges()]
+        todo = [rng for rng in todo if rng]
         if not todo:
             return 0
         seg_schema = _seg_schema_of(m.schema)
-        lineage = ray.get([
-            _compact_partition.remote(
-                self.lake_dir, e.part, e.paths, e.delta_paths, seg_schema, self.policy,
-                os.path.join(f"part={e.part:05d}", f"seg-{self._run_id():014d}-compact.parquet"))
-            for e in todo
-        ])
+        name = f"seg-{self._run_id():014d}-compact.parquet"
+        lineage = [r for rows in ray.get([
+            _compact_range.remote(self.lake_dir, rng, seg_schema, self.policy, name)
+            for rng in todo]) for r in rows]
         self._install({int(r["part"]): replace(
             m.partitions[int(r["part"])], paths=[r["path"]], delta_paths=[],
             rows=int(r["rows"]), checksum=int(r["checksum"])) for r in lineage})
         return len(lineage)
+
+    def _ranges(self) -> list[list[PartitionEntry]]:
+        """The manifest's partitions in contiguous ranges of about equal
+        manifest ``rows``, in ascending order: about one range per CPU, none
+        over :func:`_one_task_rows` rows unless one partition is larger."""
+        entries = [e for _, e in sorted(self.manifest.partitions.items())]
+        per = min(sum(e.rows for e in entries) / _cpus(), _one_task_rows())
+        ranges, rows = [], 0
+        for e in entries:
+            if not ranges or rows + e.rows > per:
+                ranges.append([])
+                rows = 0
+            ranges[-1].append(e)
+            rows += e.rows
+        return ranges
 
     # -- read path ---------------------------------------------------------
     def segment_paths(self) -> list[str]:
@@ -967,12 +989,13 @@ class LakeTable:
 
     def read(self, payload_only: bool = True) -> ray.data.Dataset:
         """The committed table as a Dataset (only manifest-visible segments).
-        One task per manifest partition reads the files the manifest lists
-        for it (no footer or discovery pass), resolves its delta files with
-        its base under the lake's merge policy when it has any
-        (merge-on-read), and conforms the result to the current schema, so
-        segments written before a schema change read correctly.  One block
-        per partition, in ascending partition order."""
+        One task per range of :meth:`_ranges` reads the files the manifest
+        lists for each of its partitions (no footer or discovery pass),
+        resolves a partition's delta files with its base under the lake's
+        merge policy when it has any (merge-on-read), and conforms the rows
+        to the current schema, so segments written before a schema change
+        read correctly.  One block per range, in ascending partition
+        order."""
         m = self.manifest
         schema = m.schema
         if not m.partitions:
@@ -982,11 +1005,13 @@ class LakeTable:
 
         def resolve(batch: pa.Table) -> pa.Table:
             (r,) = batch.to_pylist()
-            paths, deltas = (r[k].split("\n") if r[k] else [] for k in ("paths", "deltas"))
-            return _live_rows(lake_dir, paths, deltas, seg_schema, policy, target)
+            return pa.concat_tables([
+                _live_rows(lake_dir, paths.split("\n") if paths else [],
+                           deltas.split("\n") if deltas else [], seg_schema, policy, target)
+                for paths, deltas in zip(r["paths"], r["deltas"])])
 
-        items = [{"paths": "\n".join(e.paths), "deltas": "\n".join(e.delta_paths)}
-                 for _, e in sorted(m.partitions.items())]
+        items = [{"paths": ["\n".join(e.paths) for e in rng],
+                  "deltas": ["\n".join(e.delta_paths) for e in rng]} for rng in self._ranges()]
         ds = ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
             resolve, batch_format="pyarrow", batch_size=1)
         ds.context.execution_options.preserve_order = True

@@ -6,6 +6,7 @@ and the normalization golden corpus — FIXTURES F6 invariants."""
 
 import glob
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -42,17 +43,19 @@ def _assert_matches_oracle(lake: LakeTable, base, event_tables):
 
 
 def _assert_read_matches_table(lake: LakeTable, payload_only: bool = True):
-    """``read()`` returns ``to_table()``'s rows as one block per manifest
-    partition, in ascending partition order."""
+    """``read()`` returns ``to_table()``'s rows as one block per range of
+    ``LakeTable._ranges``: the blocks hold disjoint, contiguous runs of
+    partitions, in ascending order, that cover every partition."""
     ds = lake.read(payload_only).materialize()
-    parts = sorted(lake.manifest.partitions)
-    assert ds.num_blocks() == len(parts)
+    ranges = lake._ranges()
+    assert [e.part for rng in ranges for e in rng] == sorted(lake.manifest.partitions)
+    assert ds.num_blocks() == len(ranges)
     n = np.uint64(lake.manifest.num_partitions)
-    blocks = [ray.get(r) for r in ds.to_arrow_refs()]
-    for part, b in zip(parts, blocks):
-        assert ((stable_hash(b["doc_id"]) % n).astype(np.int64) == part).all()
+    via_ds = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
+    part = (stable_hash(via_ds["doc_id"]) % n).astype(np.int64)
+    assert (np.diff(part) >= 0).all()  # ascending and contiguous, across and within blocks
     expected = lake.to_table(payload_only)
-    via_ds = pa.concat_tables(blocks)
+    assert set(part) == set((stable_hash(expected["doc_id"]) % n).astype(np.int64))
     via_ds = via_ds.take(pc.sort_indices(via_ds, sort_keys=[("doc_id", "ascending")]))
     assert via_ds.equals(expected)
 
@@ -222,6 +225,89 @@ def test_bootstrap_runs_upstream_once_per_block(fixtures, tmp_path):
     lake.init_snapshot(snap.map_batches(upstream, batch_format="pyarrow"))
     assert blocks == 8 and len(list(calls.iterdir())) == blocks
     _assert_matches_oracle(lake, base, [])
+
+
+def test_read_and_compact_cut_partition_ranges(fixtures, tmp_path, monkeypatch):
+    """``read()`` and ``compact()`` run one task per range of contiguous
+    partitions.  Under a small row bound the lake reads as several blocks,
+    no range holds more manifest rows than the bound unless it is one
+    partition, and a compact over several ranges leaves one file per
+    partition with the bytes a one-range compact writes."""
+    from airbyte_ray.pipelines import replay
+
+    base, events, ev_path, lake_dir = fixtures
+    lake = LakeTable(lake_dir, ReplayConfig(num_partitions=8, delta_mode=True))
+    lake.init_snapshot(ray.data.from_arrow([base.slice(0, 150), base.slice(150)]))
+    lake.apply_log(ev_path, max_lsn=int(np.median(events["lsn"].to_numpy())))
+    lake.apply_log(ev_path)
+    copy = str(tmp_path / "copy")
+    shutil.copytree(lake_dir, copy)
+
+    bound = int(np.median([e.rows for e in lake.manifest.partitions.values()]))
+    monkeypatch.setattr(replay, "_one_task_rows", lambda: bound)
+    ranges = lake._ranges()
+    assert len(ranges) > 1
+    assert all(len(r) == 1 or sum(e.rows for e in r) <= bound for r in ranges)
+    _assert_read_matches_table(lake)
+    _assert_read_matches_table(lake, payload_only=False)
+    before = lake.to_table()
+    assert lake.compact() == 8
+    assert all(len(e.all_paths) == 1 for e in Manifest.load(lake_dir).partitions.values())
+    on_disk = glob.glob(os.path.join(lake_dir, "part=*", "*"))
+    assert sorted(on_disk) == sorted(lake.segment_paths())
+    assert lake.to_table().equals(before)
+
+    monkeypatch.setattr(replay, "_one_task_rows", lambda: float("inf"))
+    monkeypatch.setattr(replay, "_cpus", lambda: 1)
+    one = LakeTable(copy)
+    assert len(one._ranges()) == 1
+    assert one.compact() == 8
+
+    def files(lk):
+        out = {}
+        for f in lk.segment_paths():
+            with open(f, "rb") as fh:
+                out[os.path.relpath(f, lk.lake_dir)] = fh.read()
+        return out
+
+    assert files(lake) == files(one)
+
+
+def test_cdc_replay_upsert_runs_upstream_once_per_block(tmp_path, monkeypatch):
+    """``q_cdc_replay_upsert`` takes the envelope schema from ``_to_cdc`` on
+    an empty table, not from ``Dataset.schema()`` on the mapped events
+    (which runs their first block once more), so each block of events is
+    converted exactly once."""
+    from airbyte_ray import driver_queries
+
+    n = 1200
+    rng = np.random.default_rng(5)
+    pq.write_table(pa.table({
+        "event_id": pa.array(np.arange(1, n + 1), pa.int64()),
+        "ts": pa.array(np.arange(n) * 1_000_000, pa.timestamp("us")),
+        "user_id": pa.array(rng.integers(0, 200, n), pa.int64()),
+        "event_type": pa.array(rng.choice(["view", "click", "error"], n)),
+        "value": pa.array(rng.random(n)),
+    }), tmp_path / "events.parquet", row_group_size=300)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    to_cdc = driver_queries._to_cdc
+
+    def counted(t: pa.Table) -> pa.Table:
+        import uuid
+
+        if t.num_rows:
+            (calls / uuid.uuid4().hex).touch()
+        return to_cdc(t)
+
+    monkeypatch.setattr(driver_queries, "_to_cdc", counted)
+    driver_queries._events(str(tmp_path)).map_batches(counted, batch_format="pyarrow").materialize()
+    blocks = len(list(calls.iterdir()))
+    for f in calls.iterdir():
+        f.unlink()
+    out = driver_queries.q_cdc_replay_upsert(str(tmp_path))
+    assert blocks >= 1 and len(list(calls.iterdir())) == blocks
+    assert out.num_rows > 0 and out["doc_id"].to_pandas().is_unique
 
 
 def test_chunked_replay_survives_lsn_gap(fixtures, tmp_path):
