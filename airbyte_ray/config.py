@@ -15,27 +15,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-def auto_concurrency(cap: int | None = None) -> tuple[int, int]:
-    """Actor-pool ``concurrency`` sized from the cluster's CPU count rather
-    than a hard-coded ceiling (judge finding: ``(1, 8)`` caps left ≥24 of a
-    32-CPU node idle in the hottest stage).  Returns ``(1, n)`` where n =
-    total cluster CPUs (or ``os.cpu_count`` before Ray is up), optionally
-    capped — the pool still autoscales down for small inputs, so a wide max
-    costs nothing on tiny datasets."""
-    n = None
-    try:
-        import ray
+def cluster_cpus() -> float:
+    """The cluster's CPUs, busy or free (this host's before Ray is up) —
+    what every task-sizing rule (``replay._one_task_rows``, the range cut,
+    ``pack_sequences``' widening) divides work by."""
+    import ray
 
-        if ray.is_initialized():
-            n = int(ray.cluster_resources().get("CPU", 0)) or None
-    except Exception:
-        n = None
-    if n is None:
-        n = os.cpu_count() or 8
-    n = max(2, n)
-    if cap:
-        n = min(n, cap)
-    return (1, n)
+    return ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
 
 
 #: Ray reuses worker PROCESSES across tasks, so module state built lazily

@@ -13,13 +13,16 @@ concat of the corpus):
 1. optional ``sort(order_col)`` pins the global order (skippable when the
    input's block order IS the contract, e.g. an already-ordered lake
    read);
-2. a metadata pass computes each block's token contribution — one int per
-   block on the driver (O(blocks), not O(tokens)) — and a prefix sum
-   assigns every block its global token offset;
-3. each block emits, in one task with zero exchange, every chunk that
+2. a metadata pass cuts each block into row slices — one per block, or
+   enough to give every cluster CPU one when there are fewer blocks than
+   CPUs — and computes each slice's token contribution: one int per slice
+   on the driver (O(slices), not O(tokens)); a prefix sum assigns every
+   slice its global token offset;
+3. each slice emits, in one task with zero exchange and no copy of its
+   block (a zero-copy row slice of the block's ref), every chunk that
    falls ENTIRELY inside its token span, plus at most two boundary
    fragments (the partial chunks straddling its edges);
-4. the O(blocks) boundary fragments — each ≤ ``seq_len`` tokens — are
+4. the O(slices) boundary fragments — each ≤ ``seq_len`` tokens — are
    stitched on the driver and unioned with the interior chunks.
 
 Steps 2-4 are a prefix scan, which the Dataset API cannot express — this
@@ -42,19 +45,26 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..config import cluster_cpus
+
 
 # ---------------------------------------------------------------------------
-# prefix-scan primitive: per-block counts → global offsets
+# prefix-scan primitive: per-block (or per-slice) counts → global offsets
 # ---------------------------------------------------------------------------
 
 @ray.remote
-def _block_token_count(t: pa.Table, tokens_col: str, add_eos: bool) -> int:
+def _slice_token_counts(t: pa.Table, tokens_col: str, add_eos: bool,
+                        k: int) -> list[tuple[int, int, int]]:
+    """Cut one block into ``k`` row slices of about equal rows: ``(lo, hi,
+    tokens)`` for each non-empty one."""
     if t.num_rows == 0 or tokens_col not in t.schema.names:  # empty sort block
-        return 0
+        return []
     # null token lists count as empty docs (they still get an EOS) — the
-    # count MUST agree with _flat_tokens or every later block's offsets shift
-    n = int(pc.sum(pc.fill_null(pc.list_value_length(t[tokens_col]), 0)).as_py() or 0)
-    return n + (t.num_rows if add_eos else 0)
+    # count MUST agree with _flat_tokens or every later slice's offsets shift
+    lens = pc.fill_null(pc.list_value_length(t[tokens_col]), 0).to_numpy().astype(np.int64)
+    cum = np.concatenate([[0], np.cumsum(lens + add_eos)])
+    cuts = np.arange(k + 1) * t.num_rows // k
+    return [(int(lo), int(hi), int(cum[hi] - cum[lo])) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
 @ray.remote
@@ -67,13 +77,6 @@ def _block_refs(ds: ray.data.Dataset) -> list:
     count tasks below are locality-scheduled next to their block, so the
     driver sees O(blocks) ints, never the data."""
     return ds.materialize().to_arrow_refs()
-
-
-def _default_parallelism() -> int:
-    try:
-        return max(int(ray.available_resources().get("CPU", 4)), 4)
-    except Exception:
-        return 4
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +116,12 @@ def _chunks_table(flat: np.ndarray, first_seq: int, n_chunks: int, seq_len: int)
 
 @ray.remote(num_returns=2)
 def _emit_chunks(
-    t: pa.Table, tokens_col: str, eos: int | None, start: int, seq_len: int
+    t: pa.Table, lo: int, hi: int, tokens_col: str, eos: int | None, start: int, seq_len: int
 ):
-    """Emit (interior-chunks table, boundary fragments) for one block whose
-    token span is [start, start+n).  Fragments: list of (seq_id, pos,
-    int32 ndarray) — at most 2, each shorter than ``seq_len``."""
-    if t.num_rows == 0 or tokens_col not in t.schema.names:  # empty sort block
-        flat = np.empty(0, np.int32)
-    else:
-        flat = _flat_tokens(t, tokens_col, eos)
+    """Emit (interior-chunks table, boundary fragments) for rows [lo, hi) of
+    one block, whose token span is [start, start+n).  Fragments: list of
+    (seq_id, pos, int32 ndarray) — at most 2, each shorter than ``seq_len``."""
+    flat = _flat_tokens(t.slice(lo, hi - lo), tokens_col, eos)
     n = len(flat)
     end = start + n
     empty = _chunks_table(np.empty(0, np.int32), 0, 0, seq_len)
@@ -161,35 +161,36 @@ def pack_sequences(
 
     ``order_col`` sorts first (one range exchange) to pin a deterministic
     global order; ``None`` takes the input's existing block order as the
-    contract.  Everything after the optional sort is zero-exchange: interior
-    chunks never leave their block's task, and only O(blocks) boundary
-    fragments (< ``seq_len`` tokens each) touch the driver.
+    contract.  Everything after the optional sort is zero-exchange and
+    copies no block: interior chunks never leave their slice's task, and
+    only O(slices) boundary fragments (< ``seq_len`` tokens each) touch the
+    driver.
     """
     if seq_len <= 0:
         raise ValueError("seq_len must be positive")
     if order_col is not None:
         ds = ds.sort(order_col)
-    mat = ds.materialize()
-    # A narrow input (e.g. one single-row-group parquet file → ONE read
-    # block) would serialize the whole emit pass; widen it with an
-    # ORDER-PRESERVING repartition (no shuffle) so every core gets blocks.
-    target = _default_parallelism()
-    if mat.count() and mat.num_blocks() < target:
-        mat = mat.repartition(target).materialize()
-    refs = mat.to_arrow_refs()
-    if not refs:
+    refs = _block_refs(ds)
+    # A narrow input (e.g. a one-range lake read → ONE block) would
+    # serialize the emit pass; widen it up to the cluster's CPUs with row
+    # slices of the blocks it has (a ref plus a row window: no copy).
+    k = -(-int(cluster_cpus()) // max(len(refs), 1))
+    slices = [(r, *s) for r, ss in zip(refs, ray.get([
+        _slice_token_counts.remote(r, tokens_col, eos is not None, k) for r in refs]))
+        for s in ss]
+    if not slices:
         return ray.data.from_arrow(_chunks_table(np.empty(0, np.int32), 0, 0, seq_len))
-    counts = ray.get([_block_token_count.remote(r, tokens_col, eos is not None) for r in refs])
+    counts = [c for *_, c in slices]
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     total = int(starts[-1] + counts[-1])
 
     interior_refs, frag_refs = [], []
-    for r, s in zip(refs, starts):
-        it, fr = _emit_chunks.remote(r, tokens_col, eos, int(s), seq_len)
+    for (r, lo, hi, _), s in zip(slices, starts):
+        it, fr = _emit_chunks.remote(r, lo, hi, tokens_col, eos, int(s), seq_len)
         interior_refs.append(it)
         frag_refs.append(fr)
 
-    # stitch O(blocks) boundary fragments on the driver
+    # stitch O(slices) boundary fragments on the driver
     by_seq: dict[int, list[tuple[int, np.ndarray]]] = {}
     for frags in ray.get(frag_refs):
         for seq_id, pos, arr in frags:

@@ -11,7 +11,7 @@ the lake's watermark; ``stream == name`` in a shared WAL):
     scan_event_log(lsn window)                    # ONE footer pass: schema,
                                                   #   files, row bound
     window task (_apply_window, one ray.remote task per window, or per
-      shard for key-partitioned input — no exchange):
+      range of shards for key-partitioned input — no exchange):
       read the footer's row groups + lsn mask → conform → route (keep each
         target's rows, tag part + target) → sort by (target, part)
         → _merge_partition per slice
@@ -22,9 +22,9 @@ the lake's watermark; ``stream == name`` in a shared WAL):
       → remove every file a new partition entry no longer lists
 
 ``apply_log`` is the one-target case; ``apply_partitioned`` runs one window
-task per shard and raises before any write if a shard holds another
-partition's key; ``CdcCatalogEngine.sync_shared`` passes one target per
-stream.  The kernel (``_merge_partition``) writes both modes: the full
+task per range of shards and raises before any write if a shard holds
+another partition's key; ``CdcCatalogEngine.sync_shared`` passes one target
+per stream.  The kernel (``_merge_partition``) writes both modes: the full
 rewrite (copy-on-write) and a delta file resolved at read (merge-on-read);
 in delta mode it folds a chain that already holds ``auto_compact_deltas``
 files with the full rewrite, so auto-compaction is the apply's own commit.
@@ -32,9 +32,10 @@ Committed rows meet new ones in ONE place, ``_resolve_partition`` (full
 rewrite, fold, ``compact()``, merge-on-read): window events ++ deltas
 (newest first) ++ base, ranked under the merge policy the lake's manifest
 records — ``_policy_order`` + ``_first_per_key``, the combiner's
-(``lww_reduce``) rule too — so delta mode takes any policy.  ``read()``
-and ``compact()`` run one task per range of contiguous partitions
-(``LakeTable._ranges``): about one per CPU, of about equal manifest rows.
+(``lww_reduce``) rule too — so delta mode takes any policy.  ``read()``,
+``compact()`` and the aligned window task run one task per range of
+contiguous partitions or shards, cut by ``_cut``: about one per CPU, of
+about equal rows, none over ``_one_task_rows()`` unless one is larger.
 
 Why this shape at 100 TB:
 
@@ -62,6 +63,7 @@ partitioning key for the table's lifetime).
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from functools import partial, reduce
@@ -73,6 +75,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
+from ..config import cluster_cpus
 from ..schemas import CDC_DELETED_AT, CDC_UPDATED_AT, conform_table, unify_schemas
 from ..sources.event_log import EventLogScan, scan_event_log
 from ..state.atomic import replace_atomically
@@ -369,17 +372,17 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     return pa.Table.from_pylist([dict(row, folded=fold)], schema=_LINEAGE_SCHEMA)
 
 
-#: a bootstrap task's lineage rows also carry its block's payload schema
+#: a bootstrap task's lineage rows also carry its batch's payload schema
 _BOOTSTRAP_LINEAGE_SCHEMA = _LINEAGE_SCHEMA.append(pa.field("schema", pa.binary()))
 
 
-def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
-    """Zero-exchange bootstrap task: split one input block by key hash and
-    append a file per touched partition, in the block's own payload schema
-    (:func:`_payload_schema`), which each lineage row carries serialized
-    for :meth:`LakeTable.init_snapshot` to unify.  File names are
-    content-derived (hash of the block's doc_ids) so task retries rewrite
-    identical bytes."""
+def _bootstrap_batch(t: pa.Table, ctx: dict) -> pa.Table:
+    """Zero-exchange bootstrap task: split one batch of the snapshot by key
+    hash and write a file per touched partition, in the batch's own payload
+    schema (:func:`_payload_schema`), which each lineage row carries
+    serialized for :meth:`LakeTable.init_snapshot` to unify.  File names
+    are content-derived (hash of the batch's doc_ids) so task retries
+    rewrite identical bytes."""
     import hashlib as _hl
 
     if t.num_rows == 0:
@@ -392,7 +395,7 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
     sorted_t = t.take(pa.array(order))
     sorted_part = part[order]
     bounds = np.searchsorted(sorted_part, np.arange(P + 1))
-    block_id = _hl.md5(
+    batch_id = _hl.md5(
         (str(t.num_rows) + "|" + str(t["doc_id"][0].as_py()) + "|"
          + str(t["doc_id"][-1].as_py())).encode()
     ).hexdigest()[:10]
@@ -407,7 +410,7 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
             CDC_UPDATED_AT, pa.nulls(sub.num_rows, pa.timestamp("us", tz="UTC"))
         )
         sub = conform_table(sub, seg_schema)
-        rel = os.path.join(f"part={p:05d}", f"seg-{0:014d}-{block_id}.parquet")
+        rel = os.path.join(f"part={p:05d}", f"seg-{0:014d}-{batch_id}.parquet")
         # _ab_lsn is 0 here, so the checksum is the plain doc_id hash sum
         rows.append(_write_segment(ctx["lake_dir"], p, rel, sub, n_events=sub.num_rows))
     schema = out_schema.serialize().to_pybytes()
@@ -415,14 +418,11 @@ def _bootstrap_block(t: pa.Table, ctx: dict) -> pa.Table:
                                 schema=_BOOTSTRAP_LINEAGE_SCHEMA)
 
 
-def _cpus() -> float:
-    return ray.cluster_resources().get("CPU", 1) if ray.is_initialized() else os.cpu_count()
-
-
 def _one_task_rows() -> int:
     """The largest window (footer row bound) the planner runs as one task,
-    and the most manifest rows a range of :meth:`LakeTable._ranges` holds
-    unless one partition is larger on its own.
+    the most rows a bootstrap task takes from the snapshot, and the most
+    rows a range of :func:`_cut` holds (manifest rows of partitions, footer
+    row bounds of shards) unless one item is larger on its own.
 
     Measured for windows on a 4-core VM (Ray 2.49.2, medians of 5
     interleaved fresh-lake applies; BASELINE.md has the grid): at 1 CPU one
@@ -432,8 +432,23 @@ def _one_task_rows() -> int:
     P=64 right after a bootstrap took 1.07–1.37× the exchange's time up to
     30k rows, on a bootstrap layout (64 × 8 base files) no longer written.
     The grid predates the zstd segments and the per-file reads; the bound
-    was not measured for ranges."""
-    return 200_000 if _cpus() <= 1 else 12_000
+    was not measured for ranges or bootstrap tasks."""
+    return 200_000 if cluster_cpus() <= 1 else 12_000
+
+
+def _cut(items: list, rows: list[int]) -> list[list]:
+    """``items`` (of ``rows`` rows each) in contiguous ranges of about equal
+    rows, in order: about one range per CPU, none over
+    :func:`_one_task_rows` rows unless one item is larger."""
+    per = min(sum(rows) / cluster_cpus(), _one_task_rows())
+    ranges, acc = [], 0
+    for item, n in zip(items, rows):
+        if not ranges or acc + n > per:
+            ranges.append([])
+            acc = 0
+        ranges[-1].append(item)
+        acc += n
+    return ranges
 
 
 @dataclass
@@ -471,30 +486,35 @@ def _route(t: pa.Table, targets: list[_Target], combine: bool = False) -> pa.Tab
 
 
 @ray.remote
-def _apply_window(scan: EventLogScan, targets: list[_Target], files: list[str] | None = None,
-                  part: int | None = None) -> list[dict]:
+def _apply_window(scan: EventLogScan, targets: list[_Target],
+                  shards: list[tuple[int, list[str]]] | None = None) -> list[dict]:
     """The window task: read each log file's window in the unified event
     schema (the row groups the footer pass found meeting it, masked to the
     lsn bounds — :meth:`EventLogScan.table`), route it to the targets and
-    run the merge kernel on each (target, part) slice.  A shard of key-partitioned input (its ``files`` and ``part``)
-    raises before any write if a routed row belongs to another partition.
-    Returns the lineage rows, tagged ``tgt``.  A task retried after a worker
-    death rewrites identical bytes (the kernel's paths and output are
-    deterministic)."""
-    t = _route(scan.table(files or scan.files), targets)
-    bad = 0 if part is None else int(np.count_nonzero(t["part"].to_numpy() != part))
-    if bad:
-        raise ValueError(f"shard part={part}: {bad} rows hash to other partitions — "
-                         "input is not aligned with the lake partitioning; use apply_log()")
-    if t.num_rows == 0:
-        return []
-    t = t.sort_by([("tgt", "ascending"), ("part", "ascending")])
-    tgt, prt = t["tgt"].to_numpy(), t["part"].to_numpy()
-    starts = np.flatnonzero(np.diff(tgt, prepend=-1) | np.diff(prt, prepend=-1))
-    return [dict(row, tgt=int(tgt[i]))
-            for i, n in zip(starts, np.diff(starts, append=t.num_rows))
-            for row in _merge_partition(t.slice(i, n), int(prt[i]),
-                                        targets[tgt[i]].ctx).to_pylist()]
+    run the merge kernel on each (target, part) slice.  Over a range of
+    shards of key-partitioned input (``shards``: each one's part and
+    files) it routes every shard first and raises before any write if a
+    shard's row belongs to another partition.  Returns the lineage rows,
+    tagged ``tgt``.  A task retried after a worker death rewrites identical
+    bytes (the kernel's paths and output are deterministic)."""
+    routed = []
+    for part, files in shards or [(None, scan.files)]:
+        t = _route(scan.table(files), targets)
+        bad = 0 if part is None else int(np.count_nonzero(t["part"].to_numpy() != part))
+        if bad:
+            raise ValueError(f"shard part={part}: {bad} rows hash to other partitions — "
+                             "input is not aligned with the lake partitioning; use apply_log()")
+        routed.append(t)
+    lineage = []
+    for t in routed:  # sorted one shard at a time: no copy of the whole range
+        t = t.sort_by([("tgt", "ascending"), ("part", "ascending")])
+        tgt, prt = t["tgt"].to_numpy(), t["part"].to_numpy()
+        starts = np.flatnonzero(np.diff(tgt, prepend=-1) | np.diff(prt, prepend=-1))
+        lineage += [dict(row, tgt=int(tgt[i]))
+                    for i, n in zip(starts, np.diff(starts, append=t.num_rows))
+                    for row in _merge_partition(t.slice(i, n), int(prt[i]),
+                                                targets[tgt[i]].ctx).to_pylist()]
+    return lineage
 
 
 @ray.remote
@@ -519,7 +539,8 @@ def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Targe
     rows, the plan, and the footer row bound it was picked from:
 
     * ``aligned`` — key-partitioned input (``shards``: part → files): one
-      window task per shard, no exchange;
+      window task per range of shards (:func:`_cut` over the footer row
+      bounds), no exchange;
     * ``one_task`` — a scan whose row bound fits :func:`_one_task_rows`:
       one window task, no exchange;
     * ``exchange`` — otherwise, and for Dataset input: route + per-target
@@ -528,9 +549,11 @@ def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Targe
     est = None if scan is None else scan.rows
     if shards is not None:
         plan, est = "aligned", None
-        args = ray.put(scan), ray.put(targets)  # shipped once, not once per shard
-        lineage = [r for rows in ray.get([_apply_window.remote(*args, fs, p)
-                                          for p, fs in shards.items()]) for r in rows]
+        args = ray.put(scan), ray.put(targets)  # shipped once, not once per range
+        items = sorted(shards.items())
+        ranges = _cut(items, [sum(scan.file_rows[f] for f in fs) for _, fs in items])
+        lineage = [r for rows in ray.get([_apply_window.remote(*args, rng)
+                                          for rng in ranges]) for r in rows]
     elif est is not None and est <= _one_task_rows():
         plan = "one_task"
         lineage = ray.get(_apply_window.remote(scan, targets))
@@ -618,17 +641,19 @@ class LakeTable:
     def init_snapshot(self, base: ray.data.Dataset) -> dict:
         """Bootstrap the lake from an initial snapshot.
 
-        Empty lake → ZERO-exchange fast path: one task per block of
-        ``base`` as given splits it by key hash and writes one file per
-        touched partition (``part=N/seg-…-<blockhash>.parquet``), so a
-        partition holds at most one base file per input block — one pass
+        Empty lake → ZERO-exchange fast path: ``map_batches`` bundles the
+        blocks of ``base`` as given into tasks of up to
+        :func:`_one_task_rows` rows (one task at 1 CPU for a snapshot
+        within it); each splits its batch by key hash and writes one file
+        per touched partition (``part=N/seg-…-<batchhash>.parquet``), so a
+        partition holds at most one base file per bootstrap task — one pass
         over the data, no size or schema probe, no repartition, no shuffle,
         no merge (there is nothing to merge with): each task writes its
-        block's own payload schema and the manifest schema unifies the ones
+        batch's own payload schema and the manifest schema unifies the ones
         the tasks return, so the snapshot's upstream runs once per block.
         Snapshot rows have unique keys by
         contract, so multi-file partitions hold disjoint key sets and reads
-        stay plain concats.  File names derive from block content → a
+        stay plain concats.  File names derive from batch content → a
         retried task rewrites identical bytes (idempotent).
 
         An already-initialized lake raises: snapshot events carry lsn 0,
@@ -645,12 +670,11 @@ class LakeTable:
 
         ctx = {"lake_dir": self.lake_dir, "num_partitions": m.num_partitions}
         t0 = time.perf_counter()
-        lineage = (
-            base.map_batches(
-                partial(_bootstrap_block, ctx=ctx), batch_format="pyarrow"
-            ).take_all()
-        )
-        # the blocks' payload schemas, unified in a content order (block
+        # a bound of 0 keeps whole blocks; an infinite one takes one bundle
+        lineage = base.map_batches(
+            partial(_bootstrap_batch, ctx=ctx), batch_format="pyarrow",
+            batch_size=int(min(_one_task_rows(), sys.maxsize)) or None).take_all()
+        # the batches' payload schemas, unified in a content order (task
         # completion order must not reach the manifest); every read
         # conforms each file to it
         schemas = sorted({r.pop("schema") for r in lineage})
@@ -792,10 +816,10 @@ class LakeTable:
         new_wm = max(r["lsn_hi"] for r in lineage)
         n_events = int(sum(r["n_events"] for r in lineage))
         # group lineage by partition: a bootstrap emits several base rows per
-        # partition (one per input block — disjoint keys, paths concatenate);
+        # partition (one per task — disjoint keys, paths concatenate);
         # a delta row LAYERS onto the existing entry; a full-merge row
         # REPLACES it (the merge folded base+deltas into one file).  Base
-        # paths are sorted: block completion order must not reach the manifest
+        # paths are sorted: task completion order must not reach the manifest
         by_part: dict[int, list[dict]] = {}
         for r in lineage:
             by_part.setdefault(int(r["part"]), []).append(r)
@@ -868,9 +892,11 @@ class LakeTable:
         arrives this way).  When the log's partitioning matches the lake's
         (same key hash, same P), the exchange vanishes: one window task per
         shard reads its files and merges its partition — each byte moves
-        exactly once, embarrassingly parallel.  A shard row whose key hashes
-        to another partition raises before that task writes (misaligned
-        input must not corrupt state); for unaligned logs use
+        exactly once, embarrassingly parallel.  One window task takes a
+        contiguous range of shards (:func:`_cut`: about one per CPU, cut by
+        the footer pass's per-file row bounds).  A shard row whose key
+        hashes to another partition raises before that task writes
+        (misaligned input must not corrupt state); for unaligned logs use
         :meth:`apply_log` (one keyed exchange).
         """
         import glob as _g
@@ -922,7 +948,7 @@ class LakeTable:
                 if os.path.normpath(f) in live:
                     continue
                 m = _re.search(r"(?:seg|delta)-(\d+)", os.path.basename(f))
-                # segments are named (seg|delta)-<run id>[-block|-compact];
+                # segments are named (seg|delta)-<run id>[-batch|-compact];
                 # an in-flight run's id is above the committed watermark
                 # (_run_id) — anything beyond it may still await its commit
                 if m and int(m.group(1)) > committed_wm:
@@ -944,7 +970,7 @@ class LakeTable:
         return removed
 
     def compact(self) -> int:
-        """Fold each multi-file partition (bootstrap blocks and/or run
+        """Fold each multi-file partition (bootstrap batches and/or run
         deltas) into a single base segment — write O(delta) per run, pay the
         full rewrite once per compaction cycle.  One task per range of
         :meth:`_ranges` that holds such partitions (:func:`_compact_range`);
@@ -969,18 +995,9 @@ class LakeTable:
 
     def _ranges(self) -> list[list[PartitionEntry]]:
         """The manifest's partitions in contiguous ranges of about equal
-        manifest ``rows``, in ascending order: about one range per CPU, none
-        over :func:`_one_task_rows` rows unless one partition is larger."""
+        manifest ``rows``, in ascending order (:func:`_cut`)."""
         entries = [e for _, e in sorted(self.manifest.partitions.items())]
-        per = min(sum(e.rows for e in entries) / _cpus(), _one_task_rows())
-        ranges, rows = [], 0
-        for e in entries:
-            if not ranges or rows + e.rows > per:
-                ranges.append([])
-                rows = 0
-            ranges[-1].append(e)
-            rows += e.rows
-        return ranges
+        return _cut(entries, [e.rows for e in entries])
 
     # -- read path ---------------------------------------------------------
     def segment_paths(self) -> list[str]:

@@ -156,8 +156,9 @@ class EventLogScan:
     by_schema: dict[bytes, list[str]]
     #: the unified schema of every file
     schema: pa.Schema
-    #: upper bound on the window's rows (from row-group ``lsn`` statistics)
-    rows: int
+    #: each file's upper bound on the window's rows (from row-group ``lsn``
+    #: statistics)
+    file_rows: dict[str, int]
     min_lsn: int
     max_lsn: int | None
     #: each file's row groups whose ``lsn`` statistics meet the window
@@ -166,6 +167,11 @@ class EventLogScan:
     @property
     def files(self) -> list[str]:
         return [f for fs in self.by_schema.values() for f in fs]
+
+    @property
+    def rows(self) -> int:
+        """Upper bound on the window's rows."""
+        return sum(self.file_rows.values())
 
     def table(self, files: list[str]) -> pa.Table:
         """The window's rows of ``files`` as one table with the unified
@@ -216,8 +222,8 @@ def scan_event_log(paths: str | list[str], min_lsn: int = -1,
         unify_schemas,
         (pa.ipc.read_schema(pa.py_buffer(b)) for b in by_schema),
     )
-    return EventLogScan(by_schema, schema, sum(n for _, _, n in footers), min_lsn, max_lsn,
-                        {f: g for f, (_, g, _) in zip(files, footers)})
+    return EventLogScan(by_schema, schema, {f: n for f, (_, _, n) in zip(files, footers)},
+                        min_lsn, max_lsn, {f: g for f, (_, g, _) in zip(files, footers)})
 
 
 def read_event_log_with_schema(

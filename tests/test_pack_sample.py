@@ -96,6 +96,35 @@ def test_pack_block_layout_invariance():
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("drop_last", [True, False])
+@pytest.mark.parametrize("eos", [None, -9])
+def test_pack_slices_a_narrow_input(monkeypatch, eos, drop_last):
+    """A one-block input is widened to the cluster's CPUs by zero-copy row
+    slices of its block, never by a repartition copy: it packs into several
+    output blocks, and into exactly the sequences of the 1-, 2- and 5-block
+    layouts."""
+    base = _tok_table([3, 8, 2, 5, 13, 1, 7, 4])
+
+    def packed(ds):
+        out = pack_sequences(ds, seq_len=6, eos=eos, order_col="doc_id",
+                             drop_last=drop_last).materialize()
+        df = out.to_pandas().sort_values("seq_id")
+        return out.num_blocks(), [(int(r.seq_id), list(r.tokens), int(r.n_tok))
+                                  for r in df.itertuples()]
+
+    layouts = [packed(ray.data.from_arrow(base).repartition(nb))[1] for nb in (1, 2, 5)]
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("pack_sequences must not repartition its input")
+
+    monkeypatch.setattr(ray.data.Dataset, "repartition", no_copy)
+    one = ray.data.from_arrow(base)
+    assert one.num_blocks() == 1
+    blocks, got = packed(one)
+    assert blocks >= ray.cluster_resources()["CPU"] > 1  # one interior block per slice
+    assert layouts[0] == layouts[1] == layouts[2] == got
+
+
 def test_global_index_contiguous_in_order():
     t = pa.table({"k": pa.array(list(range(100)))})
     ds = ray.data.from_arrow(t).repartition(6).sort("k")

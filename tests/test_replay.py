@@ -17,6 +17,7 @@ import ray.data
 
 from airbyte_ray import gen
 from airbyte_ray.oracle import replay_oracle
+from airbyte_ray.pipelines import replay
 from airbyte_ray.pipelines.replay import LakeTable, ReplayConfig, stable_hash
 from airbyte_ray.state.manifest import Manifest
 
@@ -105,7 +106,7 @@ def test_chunked_replay_matches_single_shot(fixtures, tmp_path):
     assert single.to_table().equals(lake.to_table())
 
 
-def test_delta_mode_matches_full_merge(fixtures, tmp_path):
+def test_delta_mode_matches_full_merge(fixtures, tmp_path, monkeypatch):
     """Delta-segment applies (O(changes) writes) commit the SAME logical
     table as full-merge applies — tombstones shadow base rows at read; a
     compaction folds everything back to one file per partition with no
@@ -121,8 +122,11 @@ def test_delta_mode_matches_full_merge(fixtures, tmp_path):
     pq.write_table(e2, p2)
 
     lake = LakeTable(lake_dir, ReplayConfig(num_partitions=4))
-    # a three-block snapshot: one base file per (block, partition)
-    lake.init_snapshot(ray.data.from_arrow([base.slice(i, 100) for i in range(0, N_BASE, 100)]))
+    # a three-block snapshot in three bootstrap tasks (a forced bound of 100
+    # rows): one base file per (task, partition)
+    with monkeypatch.context() as mp:
+        mp.setattr(replay, "_one_task_rows", lambda: 100)
+        lake.init_snapshot(ray.data.from_arrow([base.slice(i, 100) for i in range(0, N_BASE, 100)]))
     # freshly bootstrapped: multi-file base partitions, no deltas yet
     assert any(len(e.paths) > 1 for e in lake.manifest.partitions.values())
     _assert_read_matches_table(lake)
@@ -188,9 +192,10 @@ def test_bootstrap_fast_path_used_and_correct(fixtures):
 
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_bootstrap_writes_one_file_per_block_per_partition(fixtures, blocks):
-    """The bootstrap runs one task per block of the snapshot as given: a
-    ``blocks``-block snapshot leaves at most ``blocks`` base files in each
-    partition, and a one-block snapshot exactly one."""
+    """The bootstrap writes one base file per partition per task, and a task
+    takes one block or more: a ``blocks``-block snapshot leaves at most
+    ``blocks`` base files in each partition, and a one-block snapshot
+    exactly one."""
     base, _, _, lake_dir = fixtures
     step = -(-N_BASE // blocks)
     snap = ray.data.from_arrow([base.slice(i, step) for i in range(0, N_BASE, step)])
@@ -201,6 +206,38 @@ def test_bootstrap_writes_one_file_per_block_per_partition(fixtures, blocks):
     if blocks == 1:
         assert counts == [1, 1, 1, 1]
     _assert_matches_oracle(lake, base, [])
+
+
+def test_bootstrap_tasks_sized_by_bound(fixtures, tmp_path, monkeypatch):
+    """``init_snapshot`` bundles the snapshot's blocks into tasks of up to
+    ``_one_task_rows()`` rows: under the bound a five-block snapshot leaves
+    exactly one base file per partition, under a small forced bound
+    several.  Both hold the same table, and a rerun into a fresh dir
+    writes the same file names and bytes."""
+    base = fixtures[0]
+    snap = [base.slice(i, 60) for i in range(0, N_BASE, 60)]
+
+    def bootstrap(d):
+        lake = LakeTable(str(d), ReplayConfig(num_partitions=4))
+        lake.init_snapshot(ray.data.from_arrow(snap))
+        files = {}
+        for f in lake.segment_paths():
+            with open(f, "rb") as fh:
+                files[os.path.relpath(f, lake.lake_dir)] = fh.read()
+        return lake, files
+
+    tables = []
+    for bound in (None, 100):
+        with monkeypatch.context() as mp:
+            if bound:
+                mp.setattr(replay, "_one_task_rows", lambda: bound)
+            lake, files = bootstrap(tmp_path / f"lake{bound}")
+            assert bootstrap(tmp_path / f"rerun{bound}")[1] == files
+        counts = [len(e.paths) for e in lake.manifest.partitions.values()]
+        assert counts == [1, 1, 1, 1] if bound is None else min(counts) > 1
+        _assert_matches_oracle(lake, base, [])
+        tables.append(lake.to_table())
+    assert tables[0].equals(tables[1])
 
 
 def test_bootstrap_runs_upstream_once_per_block(fixtures, tmp_path):
@@ -233,8 +270,6 @@ def test_read_and_compact_cut_partition_ranges(fixtures, tmp_path, monkeypatch):
     no range holds more manifest rows than the bound unless it is one
     partition, and a compact over several ranges leaves one file per
     partition with the bytes a one-range compact writes."""
-    from airbyte_ray.pipelines import replay
-
     base, events, ev_path, lake_dir = fixtures
     lake = LakeTable(lake_dir, ReplayConfig(num_partitions=8, delta_mode=True))
     lake.init_snapshot(ray.data.from_arrow([base.slice(0, 150), base.slice(150)]))
@@ -258,7 +293,7 @@ def test_read_and_compact_cut_partition_ranges(fixtures, tmp_path, monkeypatch):
     assert lake.to_table().equals(before)
 
     monkeypatch.setattr(replay, "_one_task_rows", lambda: float("inf"))
-    monkeypatch.setattr(replay, "_cpus", lambda: 1)
+    monkeypatch.setattr(replay, "cluster_cpus", lambda: 1)
     one = LakeTable(copy)
     assert len(one._ranges()) == 1
     assert one.compact() == 8
@@ -409,11 +444,12 @@ def test_resume_after_crash_delta_mode(fixtures):
     _assert_matches_oracle(resumed, base, [events, ev2])
 
 
-def test_partition_aligned_apply(tmp_path):
+def test_partition_aligned_apply(tmp_path, monkeypatch):
     """Key-partitioned (sharded-WAL) log → apply_partitioned matches the
     shuffled path and the oracle, in full and delta mode: both paths run
     the same merge kernel, so they write the same bytes and lineage.
-    Misaligned input fails loudly, before any write."""
+    Misaligned input fails loudly, before its task writes: a task over a
+    range of shards checks every shard in it first."""
     P = 4
     base = gen.gen_base(200, seed=31)
     pools = gen.partition_pools(200, P)
@@ -460,15 +496,27 @@ def test_partition_aligned_apply(tmp_path):
                         open(os.path.join(b.lake_dir, rel), "rb") as fb:
                     assert fa.read() == fb.read(), f"segment bytes differ: {rel}"
 
-    # misaligned: a shard containing wrong-partition keys must be rejected
-    bad = tmp_path / "bad" / "part=00000"
-    bad.mkdir(parents=True)
-    pq.write_table(all_events[1], bad / "chunk-0.parquet")
-    c = LakeTable(str(tmp_path / "lake_c"), ReplayConfig(num_partitions=P))
-    with pytest.raises(Exception, match="not aligned|other partitions"):
-        c.apply_partitioned(str(tmp_path / "bad"))
-    # ... before the shard's task wrote anything under the lake
-    assert not [f for _, _, fs in os.walk(c.lake_dir) for f in fs]
+    # misaligned: a shard containing wrong-partition keys must be rejected.
+    # Shard 2 holds shard 3's events: their keys hash inside the same range
+    # when all four shards are one task, so each shard is checked on its own
+    for p in range(P):
+        bad = tmp_path / "bad" / f"part={p:05d}"
+        bad.mkdir(parents=True)
+        pq.write_table(all_events[3 if p == 2 else p], bad / "chunk-0.parquet")
+    for shape, bound, cpus in (("per_shard", 0, P), ("one_task", float("inf"), 1)):
+        c = LakeTable(str(tmp_path / f"lake_c_{shape}"), ReplayConfig(num_partitions=P))
+        with monkeypatch.context() as mp:
+            mp.setattr(replay, "_one_task_rows", lambda: bound)
+            mp.setattr(replay, "cluster_cpus", lambda: cpus)
+            assert len(replay._cut(list(range(P)), [400] * P)) == (P if bound == 0 else 1)
+            with pytest.raises(Exception, match="not aligned|other partitions"):
+                c.apply_partitioned(str(tmp_path / "bad"))
+        # ... before the bad shard's task wrote anything under the lake (one
+        # task: nothing at all; one task per shard: the good shards' tasks
+        # may have left uncommitted files, as a crash would)
+        written = [f for _, _, fs in os.walk(c.lake_dir) for f in fs]
+        assert Manifest.load(c.lake_dir) is None
+        assert not (written if bound else [f for f in written if "part=00002" in f])
 
 
 def test_fused_shard_apply_byte_equals_generic(tmp_path):

@@ -98,7 +98,7 @@ def _write_old_format(lake: LakeTable, every: int = 1) -> int:
     return len(paths)
 
 
-def test_old_format_lake_keeps_working(fixtures, tmp_path):
+def test_old_format_lake_keeps_working(fixtures, tmp_path, monkeypatch):
     """A bootstrapped lake whose files are rewritten in the older format
     (snappy + dictionary), and half of whose files are rewritten so again
     after every step, goes through a delta apply, a full rewrite, a fold
@@ -109,8 +109,10 @@ def test_old_format_lake_keeps_working(fixtures, tmp_path):
     base, events, _, _ = fixtures
     windows = _epochs(events, tmp_path, 6)
     new, old = _lake(str(tmp_path / "new")), _lake(str(tmp_path / "old"))
-    for lake in (new, old):
-        lake.init_snapshot(_snapshot(base))
+    with monkeypatch.context() as mp:  # one bootstrap task per block
+        mp.setattr(replay, "_one_task_rows", lambda: 100)
+        for lake in (new, old):
+            lake.init_snapshot(_snapshot(base))
     assert _write_old_format(old) > 4  # several base files per partition
 
     def same(kind: str) -> None:
@@ -168,7 +170,8 @@ def _applied_rows(monkeypatch, scan, targets, files=None, part=None) -> pa.Table
         return real(t, targets, combine).slice(0, 0)
 
     monkeypatch.setattr(replay, "_route", route)
-    assert replay._apply_window._function(scan, targets, files, part) == []
+    shards = None if part is None else [(part, files)]
+    assert replay._apply_window._function(scan, targets, shards) == []
     (t,) = seen
     return t
 
