@@ -33,7 +33,7 @@ from .functions.dedup import (
 from .functions.text import LangId, fingerprint_md5, quality_score, rolling_fingerprint, token_count
 from .functions.windows import session, sliding
 from .joins import asof_join, broadcast_join, hash_join
-from .pipelines.replay import LakeTable, ReplayConfig, _pre_reduce, lww_reduce
+from .pipelines.replay import LakeTable, ReplayConfig, _part_of, lww_reduce
 from .stages.transforms import add_fields, flatten_json, hash_id, record_filter
 from .schemas import CDC_UPDATED_AT
 
@@ -140,17 +140,15 @@ def q_cdc_backfill(sf_dir: str) -> pa.Table:
 def q_cdc_lww_latest(sf_dir: str) -> ray.data.Dataset:
     """LWW reduce only (no lake io): latest event per key incl tombstones."""
     cdc = _events(sf_dir).map_batches(_to_cdc, batch_format="pyarrow")
-    pre = cdc.map_batches(
-        partial(_pre_reduce, num_partitions=16), batch_format="pyarrow"
+    tagged = cdc.map_batches(
+        lambda t: t.append_column("part", _part_of(t["doc_id"], 16)), batch_format="pyarrow"
     )
-    reduced = pre.groupby("part").map_groups(
+    return tagged.groupby("part").map_groups(
         lambda g: lww_reduce(g).drop_columns(
-            ["part", "n_src", "lsn_seen",
-             "ts", "event_type", "value", CDC_UPDATED_AT]
+            ["part", "ts", "event_type", "value", CDC_UPDATED_AT]
         ),
         batch_format="pyarrow",
     )
-    return reduced
 
 
 def q_declarative_paginated(sf_dir: str) -> ray.data.Dataset:

@@ -110,7 +110,8 @@ class CdcCatalogEngine:
         the same planner as :meth:`LakeTable.apply_log`, with one target
         per stream (its lake's kernel ctx; rows ``stream_col == name`` with
         ``lsn >`` its watermark) — a small window runs as one task, a large
-        one as one keyed exchange over (stream, partition).  Each stream's
+        one as route tasks over ranges of the WAL's files and merge tasks
+        over ranges of (stream, partition) keys.  Each stream's
         manifest then commits in name order (crash between commits ⇒
         committed streams no-op on rerun)."""
         import time as _time

@@ -139,9 +139,11 @@ def _stamp(t: pa.Table, pk: list[str], sync_id: int) -> pa.Table:
     """One batch of a sync as upsert events: ``_airbyte_emitted_at`` (unless
     the rows carry one), ``lsn`` = the sync id (the lake's ``lsn >
     watermark`` guard makes a rerun of a committed sync a no-op), ``op`` and
-    the lake key ``doc_id`` (the column itself when it is the primary key)."""
+    the lake key ``doc_id`` (the column itself when it is the primary key).
+    Drops the schema metadata, whose pandas dict Ray Data warns about."""
     import datetime as _dt
 
+    t = t.replace_schema_metadata(None)
     n = t.num_rows
     if EMITTED_AT not in t.schema.names:
         now = _dt.datetime.now(_dt.timezone.utc)
@@ -255,12 +257,15 @@ class SyncEngine:
             # one lake commit (its manifest lists the files, schema and
             # partition count), then the state commit below; the lake
             # removes the files its commit superseded
-            if (schema := ds.schema()) is not None:
+            # the source file's schema (the read's schema() warns about its
+            # pandas metadata) unless a transform reshapes it
+            schema = src_schema if transform is None else getattr(ds.schema(), "base_schema", None)
+            if schema is not None:
                 _check_envelope(schema.names, cfg.primary_key)
                 # the events' schema is the stamped source schema: probing
                 # the mapped dataset would read and stamp a block twice
                 stamp = partial(_stamp, pk=cfg.primary_key, sync_id=sync_id)
-                lake._apply(stamp(schema.base_schema.empty_table()).schema, lake.config.delta_mode,
+                lake._apply(stamp(schema.empty_table()).schema, lake.config.delta_mode,
                             ds.map_batches(stamp, batch_format="pyarrow"), lake.manifest.watermark)
             state["primary_key"] = cfg.primary_key
             rows = lake.manifest.lineage_rows()

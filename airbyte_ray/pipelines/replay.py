@@ -8,16 +8,14 @@ entry point hands its window to ONE planner, ``_apply_targets``, as a list
 of *targets* — one lake's kernel ctx each, plus its row filter (``lsn >``
 the lake's watermark; ``stream == name`` in a shared WAL):
 
-    scan_event_log(lsn window)                    # ONE footer pass: schema,
-                                                  #   files, row bound
-    window task (_apply_window, one ray.remote task per window, or per
-      range of shards for key-partitioned input — no exchange):
-      read the footer's row groups + lsn mask → conform → route (keep each
-        target's rows, tag part + target) → sort by (target, part)
-        → _merge_partition per slice
-    else (row bound > _one_task_rows(), or Dataset input), one keyed exchange:
-      route + per-target combiner (_pre_reduce)    # per-batch LWW
-        → groupby([target, part]).map_groups(_merge_partition)
+    scan_event_log(lsn window)      # ONE footer pass: schema, files, row bound
+                                    # (a Dataset: materialize, count(), blocks)
+    route: read row groups + lsn mask → conform → tag part, target → sort
+    merge: _merge_partition per (target, part) slice
+    both in one window task per window within _one_task_rows() (or per
+      range of shards); else route tasks over ranges of files, each
+      returning one slice per merge range of (target, part) keys, → merge
+      tasks, one per merge range
     → lineage rows (≤ P small rows per target) → each lake's manifest.commit()
       → remove every file a new partition entry no longer lists
 
@@ -31,20 +29,18 @@ files with the full rewrite, so auto-compaction is the apply's own commit.
 Committed rows meet new ones in ONE place, ``_resolve_partition`` (full
 rewrite, fold, ``compact()``, merge-on-read): window events ++ deltas
 (newest first) ++ base, ranked under the merge policy the lake's manifest
-records — ``_policy_order`` + ``_first_per_key``, the combiner's
-(``lww_reduce``) rule too — so delta mode takes any policy.  ``read()``,
-``compact()`` and the aligned window task run one task per range of
-contiguous partitions or shards, cut by ``_cut``: about one per CPU, of
-about equal rows, none over ``_one_task_rows()`` unless one is larger.
+records — ``_policy_order`` + ``_first_per_key``, ``lww_reduce``'s rule
+too — so delta mode takes any policy.  ``read()``, ``compact()``, the
+aligned window tasks and the exchange's route and merge tasks run one task
+per range of contiguous partitions, shards, files or keys, cut by
+``_cut``: about one per CPU, of about equal rows, none over
+``_one_task_rows()`` unless one is larger.
 
 Why this shape at 100 TB:
 
-* the per-batch combiner collapses duplicate keys *before* any shuffle, so
-  a hot doc_id contributes at most one row per input block to the exchange —
-  that bounds hot-key skew without a second reduce stage;
-* the only shuffle is one sort shuffle keyed by the ints (target, part); a
-  small window (most CDC commits) has none: Ray Data job and exchange
-  overhead, not merge work, set its latency;
+* the only exchange hands each merge task one sorted slice per route task
+  as a Ray object (no Ray Data shuffle, no combiner; BASELINE.md "One
+  apply engine"), and a small window (most CDC commits) has none;
 * exactly-once: segments have deterministic paths derived from the committed
   manifest (``LakeTable._run_id``), never a path it lists; a retried/crashed
   run rewrites identical bytes; visibility is the atomic manifest replace
@@ -83,8 +79,7 @@ from ..state.manifest import Manifest, PartitionEntry
 
 #: event-envelope columns that are not payload
 _META_COLS = (
-    "lsn", "op", CDC_UPDATED_AT, CDC_DELETED_AT, "part", "n_src",
-    "lsn_seen",  # watermark combiner column (max lsn consumed incl. losers)
+    "lsn", "op", CDC_UPDATED_AT, CDC_DELETED_AT, "part",
     "_ab_cdc_snapshot",  # explicit snapshot-event flag (envelope, not payload)
 )
 #: internal columns stored in lake segments alongside the payload
@@ -128,66 +123,27 @@ def _policy_order(t: pa.Table, policy: tuple | None, lsn: str = "lsn") -> np.nda
     return order.to_numpy().astype(np.int64)
 
 
-def _first_per_key(ids: np.ndarray, order: np.ndarray):
-    """The winner per key: its first row in ranked ``order``.  Returns the
-    winner indices (in rank order), the key code of each ranked row
-    ``ids[order]`` and the first-occurrence mask over the ranked rows (the
-    per-key folds of :func:`lww_reduce` group by those codes)."""
-    inv, _ = pd.factorize(ids[order], sort=False)
-    first = ~pd.Index(inv).duplicated(keep="first")
-    return order[first], inv, first
+def _first_per_key(ids: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The winner per key: its first row in ranked ``order``; the winner
+    indices, in rank order."""
+    return order[~pd.Index(ids[order]).duplicated(keep="first")]
 
 
 def lww_reduce(t: pa.Table, policy: tuple | None = None) -> pa.Table:
     """Vectorized last-writer-wins: keep the winning row per doc_id under
     ``policy`` (see :func:`_policy_order`), the reference's ``row_number()
     over (order by cursor desc, _ab_cdc_updated_at desc, log_pos desc) = 1``
-    window (stream_processor.py:750-805, 884-898).  Default: max lsn.
-
-    If an ``n_src`` column is present it is summed per key (applied-event
-    lineage count); if an ``lsn_seen`` column is present it is max-folded
-    per key — under a CUSTOM policy the winner's lsn can be lower than a
-    consumed loser's, and committing the survivors' max as the watermark
-    permanently re-read those losers (review finding)."""
+    window (stream_processor.py:750-805, 884-898).  Default: max lsn."""
     if t.num_rows == 0:
         return t
-    # single-take plan: rank → first occurrence per key → ONE gather of
-    # survivors (no full sorted copy)
+    # rank → first occurrence per key → ONE gather (no full sorted copy)
     order = _policy_order(t, policy)
-    keep_idx, inv, first = _first_per_key(t["doc_id"].to_numpy(zero_copy_only=False), order)
-    folds = []
-    if "n_src" in t.schema.names:
-        sums = np.bincount(inv, weights=t["n_src"].to_numpy()[order].astype(np.float64))
-        folds.append(("n_src", pa.array(sums[inv[first]].astype(np.int64))))
-    if "lsn_seen" in t.schema.names:
-        maxs = np.full(int(inv.max()) + 1, np.iinfo(np.int64).min, np.int64)
-        np.maximum.at(maxs, inv, t["lsn_seen"].to_numpy()[order])
-        folds.append(("lsn_seen", pa.array(maxs[inv[first]])))
-    if not folds:
-        return t.take(pa.array(keep_idx))
-    kept = t.drop_columns([n for n, _ in folds]).take(pa.array(keep_idx))
-    for n, arr in folds:
-        kept = kept.append_column(n, arr)
-    return kept
+    return t.take(pa.array(_first_per_key(t["doc_id"].to_numpy(zero_copy_only=False), order)))
 
 
 def _part_of(ids: pa.ChunkedArray, num_partitions: int) -> pa.Array:
     """Each key's hash partition — the lake's one partitioning rule."""
     return pa.array((stable_hash(ids) % np.uint64(num_partitions)).astype(np.int64))
-
-
-def _pre_reduce(t: pa.Table, num_partitions: int,
-                policy: tuple | None = None) -> pa.Table:
-    """Per-batch combiner + partition key.  Runs before the shuffle; an
-    empty batch keeps the output columns (batches stay schema-stable)."""
-    if "n_src" not in t.schema.names:
-        t = t.append_column("n_src", pa.array(np.ones(t.num_rows, np.int64)))
-    if "lsn_seen" not in t.schema.names:
-        # watermark source of truth: max lsn CONSUMED (winners and losers),
-        # max-folded through every reduce — see lww_reduce
-        t = t.append_column("lsn_seen", t["lsn"])
-    t = lww_reduce(t, policy)
-    return t.append_column("part", _part_of(t["doc_id"], num_partitions))
 
 
 def _payload_schema(ev_schema: pa.Schema) -> pa.Schema:
@@ -238,10 +194,10 @@ def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
     sizes = [n.num_rows for n in news]
     age = np.repeat(np.arange(len(news) + 1), sizes + [rows.num_rows - sum(sizes)])  # 0: newest
     ranked = _policy_order(rows, policy, lsn=LSN_COL)
-    win = None if window is None else _first_per_key(ids, ranked[ranked < sizes[0]])[0]
+    win = None if window is None else _first_per_key(ids, ranked[ranked < sizes[0]])
     live = [ranked[:0]]
     while ranked.size:
-        first, _, _ = _first_per_key(ids, ranked)
+        first = _first_per_key(ids, ranked)
         live.append(first[~dead[first]])
         tomb = first[dead[first] & (age[first] > 0)]  # none newer than the window
         if not tomb.size:
@@ -255,16 +211,20 @@ def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
 
 def _live_rows(lake_dir: str, paths: list[str], deltas: list[str], seg_schema: pa.Schema,
                policy: tuple, schema: pa.Schema) -> pa.Table:
-    """One partition's live rows (merge-on-read), conformed to ``schema``."""
+    """One partition's live rows (merge-on-read) sorted by doc_id, whatever
+    its files' history, conformed to ``schema``."""
     rows, idx, _ = _resolve_partition(lake_dir, paths, deltas, seg_schema, policy)
-    return conform_table(rows if idx is None else rows.take(pa.array(np.sort(idx))), schema)
+    return conform_table(_take_sorted(rows, idx), schema)
 
 
 def _take_sorted(rows: pa.Table, idx: np.ndarray | None) -> pa.Table:
     """Rows ``idx`` of ``rows`` (all when None) sorted by doc_id — in the
-    REAL key type ("10" < "9" as strings) — through one ``take``."""
+    REAL key type ("10" < "9" as strings) — through one ``take`` (none when
+    all rows are already in that order)."""
     keys = rows["doc_id"] if idx is None else rows["doc_id"].take(pa.array(idx))
     order = pc.array_sort_indices(keys).to_numpy()
+    if idx is None and (order[1:] > order[:-1]).all():
+        return rows
     return rows.take(pa.array(order if idx is None else idx[order]))
 
 
@@ -327,14 +287,12 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     resolved at read (merge-on-read; never reads the old partition).  A
     delta chain that already holds ``ctx["auto_compact_deltas"]`` files
     takes the full rewrite instead (lineage ``folded``).  Returns a one-row
-    lineage table.  Runs on one (target, part) slice of a window: raw
-    events in the window task, combiner output after the exchange
-    (``n_src``/``lsn_seen`` columns carry what the combiner folded away)."""
+    lineage table.  Runs on one (target, part) slice of a window's
+    events."""
     policy = ctx.get("policy")
     delta_mode = bool(ctx.get("delta_mode"))
     out_schema = pa.ipc.read_schema(pa.BufferReader(ctx["schema"]))
     seg_schema = _seg_schema_of(out_schema)
-    names = t.schema.names
 
     old_entry = ctx["old_segments"].get(part)
     k = ctx.get("auto_compact_deltas")
@@ -344,14 +302,14 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
     ts_type = pa.timestamp("us", tz="UTC")
     ev = conform_table(t, out_schema).append_column(LSN_COL, t["lsn"])
     ev = ev.append_column(
-        CDC_UPDATED_AT, t[CDC_UPDATED_AT].cast(ts_type) if CDC_UPDATED_AT in names
+        CDC_UPDATED_AT, t[CDC_UPDATED_AT].cast(ts_type) if CDC_UPDATED_AT in t.schema.names
         else pa.nulls(t.num_rows, ts_type))
     ev = conform_table(ev, seg_schema).append_column(DELETED_COL, pc.equal(t["op"], "delete"))
 
     if delta_write:
         # tombstones stay as flagged rows so merge-on-read can shadow the base
-        win_idx, _, _ = _first_per_key(ev["doc_id"].to_numpy(zero_copy_only=False),
-                                       _policy_order(ev, policy, lsn=LSN_COL))
+        win_idx = _first_per_key(ev["doc_id"].to_numpy(zero_copy_only=False),
+                                 _policy_order(ev, policy, lsn=LSN_COL))
         new_seg = ev.take(pa.array(win_idx))
         rel = os.path.join(f"part={part:05d}", f"delta-{ctx['run_id']:014d}.parquet")
     else:
@@ -363,12 +321,10 @@ def _merge_partition(t: pa.Table, part: int, ctx: dict) -> pa.Table:
 
     # lineage: lsn_lo is the window's winners' min lsn; lsn_hi the max lsn
     # CONSUMED (incl. policy losers: under a custom policy the survivors'
-    # max would stall the watermark); n_events counts source events
-    lsn_lo = int(t["lsn"].to_numpy()[win_idx].min())
-    lsn_hi = int(pc.max(t["lsn_seen" if "lsn_seen" in names else "lsn"]).as_py())
-    n_events = int(pc.sum(t["n_src"]).as_py()) if "n_src" in names else t.num_rows
-    row = _write_segment(ctx["lake_dir"], part, rel, new_seg, lsn_lo, lsn_hi,
-                         n_events, delta_write)
+    # max would stall the watermark); n_events counts the slice's events
+    lsn = t["lsn"].to_numpy()
+    row = _write_segment(ctx["lake_dir"], part, rel, new_seg, int(lsn[win_idx].min()),
+                         int(lsn.max()), t.num_rows, delta_write)
     return pa.Table.from_pylist([dict(row, folded=fold)], schema=_LINEAGE_SCHEMA)
 
 
@@ -419,20 +375,17 @@ def _bootstrap_batch(t: pa.Table, ctx: dict) -> pa.Table:
 
 
 def _one_task_rows() -> int:
-    """The largest window (footer row bound) the planner runs as one task,
-    the most rows a bootstrap task takes from the snapshot, and the most
-    rows a range of :func:`_cut` holds (manifest rows of partitions, footer
-    row bounds of shards) unless one item is larger on its own.
+    """The largest window (footer row bound, or a Dataset's ``count()``)
+    the planner runs as one task, the most rows a bootstrap task takes from
+    the snapshot, and the most rows a range of :func:`_cut` holds (manifest
+    rows of partitions, row bounds of shards, files or blocks, rows of
+    exchange keys) unless one item is larger on its own.
 
-    Measured for windows on a 4-core VM (Ray 2.49.2, medians of 5
-    interleaved fresh-lake applies; BASELINE.md has the grid): at 1 CPU one
-    task beat the exchange on every window up to 204k rows (2.15 vs
-    11.85 s, +336 MB peak heap), so that is the cap.  With more CPUs windows
-    up to 12.3k rows won 1.7–5.6× in delta mode at P=8, but a full apply at
-    P=64 right after a bootstrap took 1.07–1.37× the exchange's time up to
-    30k rows, on a bootstrap layout (64 × 8 base files) no longer written.
-    The grid predates the zstd segments and the per-file reads; the bound
-    was not measured for ranges or bootstrap tasks."""
+    Measured against the Ray Data exchange this planner no longer has
+    (4-core VM, Ray 2.49.2; BASELINE.md has the grid): at 1 CPU one task
+    won on every window up to 204k rows (2.15 vs 11.85 s), with more CPUs
+    up to 12.3k rows (1.7–5.6×, delta mode, P=8).  Not re-measured against
+    the route → merge tasks, nor for ranges or bootstrap tasks."""
     return 200_000 if cluster_cpus() <= 1 else 12_000
 
 
@@ -466,11 +419,29 @@ class _Target:
     stream: tuple[str, str] | None = None
 
 
-def _route(t: pa.Table, targets: list[_Target], combine: bool = False) -> pa.Table:
-    """Keep each target's rows of one batch and tag them with their ``part``
-    and target index ``tgt``.  ``combine`` runs each target's combiner —
-    only before the exchange, where collapsing duplicate keys shrinks what
-    is shuffled; the window task leaves the winners to the kernel."""
+@dataclass
+class _Blocks:
+    """Dataset input in the shape the planner reads an :class:`EventLogScan`
+    in: a materialized Dataset's blocks stand for files (``files`` are block
+    indices, each bounded at an even share of ``rows``, its ``count()``)."""
+
+    refs: list
+    schema: pa.Schema
+    rows: int
+
+    def __post_init__(self):
+        self.files = list(range(len(self.refs)))
+        self.file_rows = [self.rows / max(len(self.refs), 1)] * len(self.refs)
+
+    def table(self, blocks: list[int]) -> pa.Table:
+        parts = [conform_table(b, self.schema) for b in ray.get([self.refs[i] for i in blocks])]
+        return pa.concat_tables(parts) if parts else self.schema.empty_table()
+
+
+def _route(t: pa.Table, targets: list[_Target]) -> pa.Table:
+    """Keep each target's rows of one batch of the window, tag them with
+    their ``part`` and target index ``tgt``, and sort them by (tgt, part)
+    (stably: a key's events keep the window's order)."""
     subs = []
     for i, tg in enumerate(targets):
         sub = t
@@ -479,24 +450,32 @@ def _route(t: pa.Table, targets: list[_Target], combine: bool = False) -> pa.Tab
         if tg.stream is not None:
             col, name = tg.stream
             sub = sub.filter(pc.equal(sub[col], name)).drop_columns([col])
-        sub = (_pre_reduce(sub, tg.num_partitions, tg.ctx["policy"]) if combine
-               else sub.append_column("part", _part_of(sub["doc_id"], tg.num_partitions)))
+        sub = sub.append_column("part", _part_of(sub["doc_id"], tg.num_partitions))
         subs.append(sub.append_column("tgt", pa.array(np.full(sub.num_rows, i, np.int64))))
-    return pa.concat_tables(subs)
+    return pa.concat_tables(subs).sort_by([("tgt", "ascending"), ("part", "ascending")])
+
+
+def _merge_routed(t: pa.Table, targets: list[_Target]) -> list[dict]:
+    """The merge body: the merge kernel on each (tgt, part) slice of routed
+    rows ``t``; returns the lineage rows, tagged ``tgt``."""
+    tgt, prt = t["tgt"].to_numpy(), t["part"].to_numpy()
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1) | np.diff(prt, prepend=-1))
+    return [dict(row, tgt=int(tgt[i]))
+            for i, n in zip(starts, np.diff(starts, append=t.num_rows))
+            for row in _merge_partition(t.slice(i, n), int(prt[i]),
+                                        targets[tgt[i]].ctx).to_pylist()]
 
 
 @ray.remote
-def _apply_window(scan: EventLogScan, targets: list[_Target],
+def _apply_window(scan: EventLogScan | _Blocks, targets: list[_Target],
                   shards: list[tuple[int, list[str]]] | None = None) -> list[dict]:
-    """The window task: read each log file's window in the unified event
-    schema (the row groups the footer pass found meeting it, masked to the
-    lsn bounds — :meth:`EventLogScan.table`), route it to the targets and
-    run the merge kernel on each (target, part) slice.  Over a range of
-    shards of key-partitioned input (``shards``: each one's part and
-    files) it routes every shard first and raises before any write if a
-    shard's row belongs to another partition.  Returns the lineage rows,
-    tagged ``tgt``.  A task retried after a worker death rewrites identical
-    bytes (the kernel's paths and output are deterministic)."""
+    """The window task: route the window (:meth:`EventLogScan.table`: the
+    row groups the footer pass found, masked to the lsn bounds; or a
+    Dataset's blocks), then merge.  Over a range of shards of key-partitioned
+    input (``shards``: each one's part and files) it routes every shard
+    first and raises before any write if a row belongs to another partition.
+    Returns the lineage rows, tagged ``tgt``; a retried task rewrites
+    identical bytes (the kernel's paths and output are deterministic)."""
     routed = []
     for part, files in shards or [(None, scan.files)]:
         t = _route(scan.table(files), targets)
@@ -505,16 +484,29 @@ def _apply_window(scan: EventLogScan, targets: list[_Target],
             raise ValueError(f"shard part={part}: {bad} rows hash to other partitions — "
                              "input is not aligned with the lake partitioning; use apply_log()")
         routed.append(t)
-    lineage = []
-    for t in routed:  # sorted one shard at a time: no copy of the whole range
-        t = t.sort_by([("tgt", "ascending"), ("part", "ascending")])
-        tgt, prt = t["tgt"].to_numpy(), t["part"].to_numpy()
-        starts = np.flatnonzero(np.diff(tgt, prepend=-1) | np.diff(prt, prepend=-1))
-        lineage += [dict(row, tgt=int(tgt[i]))
-                    for i, n in zip(starts, np.diff(starts, append=t.num_rows))
-                    for row in _merge_partition(t.slice(i, n), int(prt[i]),
-                                                targets[tgt[i]].ctx).to_pylist()]
-    return lineage
+    return [r for t in routed for r in _merge_routed(t, targets)]
+
+
+@ray.remote
+def _route_range(scan: EventLogScan | _Blocks, targets: list[_Target], files: list,
+                 cuts: list[int]) -> pa.Table | list[pa.Table]:
+    """A route task of the keyed exchange: route one range of the window's
+    files (or blocks); one slice (return object) per merge range ``j``, the
+    rows whose (tgt, part) key number is in ``[cuts[j], cuts[j + 1])``."""
+    t = _route(scan.table(files), targets)
+    first = np.cumsum([0] + [tg.num_partitions for tg in targets])
+    key = first[t["tgt"].to_numpy()] + t["part"].to_numpy()
+    at = [0, *np.searchsorted(key, cuts[1:]), t.num_rows]
+    slices = [t.slice(lo, hi - lo) for lo, hi in zip(at, at[1:])]
+    return slices if len(slices) > 1 else slices[0]
+
+
+@ray.remote
+def _merge_range(targets: list[_Target], *slices: pa.Table) -> list[dict]:
+    """A merge task of the keyed exchange: one merge range's slices from
+    every route task, in range order, through the merge body."""
+    t = pa.concat_tables(slices).sort_by([("tgt", "ascending"), ("part", "ascending")])
+    return _merge_routed(t, targets)
 
 
 @ray.remote
@@ -531,51 +523,47 @@ def _compact_range(lake_dir: str, entries: list[PartitionEntry], seg_schema: pa.
     return lineage
 
 
-def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Target],
+def _apply_targets(source: EventLogScan | _Blocks, targets: list[_Target],
                    shards: dict[int, list[str]] | None = None
                    ) -> tuple[list[list[dict]], str, int | None]:
     """The one apply planner: apply one window of change events (a footer
-    scan or a Dataset) to every target.  Returns each target's lineage
-    rows, the plan, and the footer row bound it was picked from:
+    scan, or a Dataset's blocks) to every target.  Returns each target's
+    lineage rows, the plan, and the row bound it was picked from:
 
     * ``aligned`` — key-partitioned input (``shards``: part → files): one
       window task per range of shards (:func:`_cut` over the footer row
-      bounds), no exchange;
-    * ``one_task`` — a scan whose row bound fits :func:`_one_task_rows`:
-      one window task, no exchange;
-    * ``exchange`` — otherwise, and for Dataset input: route + per-target
-      combiner → ``groupby([tgt, part])`` → ``_merge_partition``."""
-    scan = source if isinstance(source, EventLogScan) else None
-    est = None if scan is None else scan.rows
+      bounds);
+    * ``one_task`` — a window whose row bound fits :func:`_one_task_rows`:
+      one window task;
+    * ``exchange`` — otherwise: one route task per range of files or blocks
+      (:func:`_cut` over their row bounds), each returning one slice per
+      merge range — a contiguous run of (tgt, part) keys cut as if rows
+      spread evenly over keys — then one merge task per merge range."""
+    est = None if shards is not None else source.rows
+    args = ray.put(source), ray.put(targets)  # shipped once, not once per task
     if shards is not None:
-        plan, est = "aligned", None
-        args = ray.put(scan), ray.put(targets)  # shipped once, not once per range
+        plan = "aligned"
         items = sorted(shards.items())
-        ranges = _cut(items, [sum(scan.file_rows[f] for f in fs) for _, fs in items])
+        ranges = _cut(items, [sum(source.file_rows[f] for f in fs) for _, fs in items])
         lineage = [r for rows in ray.get([_apply_window.remote(*args, rng)
                                           for rng in ranges]) for r in rows]
-    elif est is not None and est <= _one_task_rows():
+    elif est <= _one_task_rows():
         plan = "one_task"
-        lineage = ray.get(_apply_window.remote(scan, targets))
+        lineage = ray.get(_apply_window.remote(*args))
     else:
         plan = "exchange"
-
-        def merge(g: pa.Table) -> pa.Table:
-            i = int(g["tgt"][0].as_py())
-            lin = _merge_partition(g, int(g["part"][0].as_py()), targets[i].ctx)
-            return lin.append_column("tgt", pa.array(np.full(lin.num_rows, i, np.int64)))
-
-        lineage = (
-            (source if scan is None else scan.dataset())
-            .map_batches(partial(_route, targets=targets, combine=True), batch_format="pyarrow")
-            .groupby(["tgt", "part"])
-            .map_groups(merge, batch_format="pyarrow")
-            .take_all()  # ≤ P small rows per target
-        )
+        keys = sum(tg.num_partitions for tg in targets)
+        cuts = [rng[0] for rng in _cut(list(range(keys)), [est / keys] * keys)]
+        route = _route_range.options(num_returns=len(cuts))
+        slices = [route.remote(*args, rng, cuts)
+                  for rng in _cut(source.files, [source.file_rows[f] for f in source.files])]
+        if len(cuts) == 1:
+            slices = [[s] for s in slices]
+        lineage = [r for rows in ray.get([_merge_range.remote(args[1], *col)
+                                          for col in zip(*slices)]) for r in rows]
     by_target: list[list[dict]] = [[] for _ in targets]
     for r in lineage:
-        r = dict(r)
-        by_target[int(r.pop("tgt"))].append(r)
+        by_target[r.pop("tgt")].append(r)
     return by_target, plan, est
 
 
@@ -583,10 +571,9 @@ def _apply_targets(source: EventLogScan | ray.data.Dataset, targets: list[_Targe
 class ReplayConfig:
     """Per-lake replay settings.  Every apply runs through one planner
     (:func:`_apply_targets`), sized to the window by :func:`_one_task_rows`:
-    one task for a small window (or one per shard of key-partitioned
-    input), else one keyed exchange — the per-batch combiner collapses
-    duplicate keys before it, so a hot key adds at most one row per input
-    block."""
+    one task for a small window (or one per range of shards of
+    key-partitioned input), else the keyed exchange — route tasks over
+    ranges of the window's files, merge tasks over ranges of partitions."""
 
     num_partitions: int = 64
     #: write per-run delta files instead of rewriting touched partitions'
@@ -733,15 +720,17 @@ class LakeTable:
 
     def _apply_ds(self, events: ray.data.Dataset, already_filtered: bool = False,
                   delta: bool | None = None) -> dict:
-        """Apply change events given as a Dataset: there are no footers to
-        size the window from, so this always runs the keyed exchange.  The
-        route keeps ``lsn > watermark`` unless ``already_filtered``.  Like
-        every apply, it writes in the lake's mode unless ``delta`` says."""
+        """Apply change events given as a Dataset: it is materialized and
+        sized by its ``count()``, and its blocks take the plan a log window
+        of that many rows takes (:func:`_apply_targets`).  The route keeps
+        ``lsn > watermark`` unless ``already_filtered``.  Like every apply,
+        it writes in the lake's mode unless ``delta`` says."""
         wm = self.manifest.watermark
+        events = events.materialize()
         schema = events.schema()
         if schema is None:  # empty input
             return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
-        return self._apply(schema, self.config.delta_mode if delta is None else delta,
+        return self._apply(schema.base_schema, self.config.delta_mode if delta is None else delta,
                            events, None if already_filtered else wm)
 
     def _out_schema(self, ev_schema: pa.Schema) -> pa.Schema:
@@ -797,6 +786,9 @@ class LakeTable:
         m = self.manifest
         out_schema, ctx = self._plan_ctx(ev_schema, delta)
         t0 = time.perf_counter()
+        if isinstance(source, ray.data.Dataset):
+            source = source.materialize()
+            source = _Blocks(source.to_arrow_refs(), ev_schema, source.count())
         (lineage,), plan, est = _apply_targets(
             source, [_Target(ctx, m.num_partitions, min_lsn)], shards)
         return self._commit(lineage, m.watermark, out_schema, time.perf_counter() - t0,
@@ -1012,7 +1004,8 @@ class LakeTable:
         merge policy when it has any (merge-on-read), and conforms the rows
         to the current schema, so segments written before a schema change
         read correctly.  One block per range, in ascending partition
-        order."""
+        order, each partition's rows in doc_id order (:func:`_live_rows`),
+        so the rows come in one order whatever the files' history."""
         m = self.manifest
         schema = m.schema
         if not m.partitions:

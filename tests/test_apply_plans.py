@@ -1,6 +1,7 @@
 """Both apply plans — one window task for a small window, the keyed exchange
-for a large one — against the replay oracles, for ``apply_log`` and for
-shared-WAL ``sync_shared`` (one planner serves both).
+(route tasks → merge tasks) for a large one — against the replay oracles,
+for ``apply_log``, Dataset input and shared-WAL ``sync_shared`` (one
+planner serves them all).
 
 The fixtures of those tests are small, so under the real threshold every
 window runs as one task.  This module collects the tests again with the
@@ -53,6 +54,7 @@ from test_segment_io import (  # noqa: F401
     test_every_segment_is_zstd_without_dictionary,
     test_old_format_lake_keeps_working,
 )
+from test_skew_retry import test_extreme_hot_key_all_paths  # noqa: F401
 
 THRESHOLD = {"one_task": float("inf"), "exchange": 0}
 
@@ -91,10 +93,31 @@ def test_run_record_names_plan(forced_plan, tmp_path, capsys):
     # a redelivered window commits nothing but still names its plan
     st = lake.apply_log(str(p), max_lsn=mid)
     assert (st["applied_events"], st["plan"]) == (0, forced_plan)
-    # Dataset input has no footers to size from: always the exchange
+    # Dataset input is sized by its count() and takes the same plan choice
     st = lake._apply_ds(ray.data.from_arrow(ev), delta=True)
-    assert (st["plan"], st["est_rows"]) == ("exchange", None)
-    assert Manifest.load(lake.lake_dir).runs[-1]["plan"] == "exchange"
+    assert (st["plan"], st["est_rows"]) == (forced_plan, ev.num_rows)
+    run = Manifest.load(lake.lake_dir).runs[-1]
+    assert (run["plan"], run["est_rows"]) == (forced_plan, ev.num_rows)
+
+
+def test_dataset_input_matches_oracle(forced_plan, tmp_path):
+    """Dataset input of several blocks, in full and in delta mode, under
+    each plan (the exchange's route tasks take one block each), matches
+    ``replay_oracle``."""
+    from airbyte_ray.oracle import replay_oracle
+
+    base = gen.gen_base(200, seed=8)
+    ev1 = gen.gen_events(900, 200, seed=9)
+    ev2 = gen.gen_events(600, 200, seed=10, start_lsn=gen.next_lsn(ev1))
+    for delta in (False, True):
+        lake = LakeTable(str(tmp_path / f"lake{delta}"),
+                         ReplayConfig(num_partitions=4, delta_mode=delta))
+        lake.init_snapshot(ray.data.from_arrow(base))
+        for ev in (ev1, ev2):
+            blocks = [ev.slice(i, 250) for i in range(0, ev.num_rows, 250)]
+            st = lake._apply_ds(ray.data.from_arrow(blocks))
+            assert (st["plan"], st["applied_events"]) == (forced_plan, ev.num_rows)
+        assert lake.to_table().equals(replay_oracle(base, [ev1, ev2]))
 
 
 def test_sync_shared_run_record_names_plan(forced_plan, tmp_path):

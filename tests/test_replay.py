@@ -1137,3 +1137,38 @@ def test_spill_with_custom_policy_and_redelivery(tmp_path):
     stats = lake.apply_log(str(p))
     assert stats["applied_events"] == 0
     assert lake.to_table().equals(got)
+
+
+def test_read_order_does_not_depend_on_file_history(tmp_path):
+    """Two lakes holding the same table through different file histories —
+    a multi-file bootstrap plus a delta chain, and the same lake after
+    ``compact()`` (one sorted file per partition) — ``read()`` in the same
+    row order, so ``pack_sequences`` packs the same sequences from both."""
+    from airbyte_ray.functions.pack import pack_sequences
+
+    base = gen.gen_base(N_BASE, seed=31)
+    ev = gen.gen_events(900, N_BASE, seed=32)
+    blocks = [base.slice(i, 100) for i in range(0, N_BASE, 100)]
+    lakes = [LakeTable(str(tmp_path / n), ReplayConfig(num_partitions=4, delta_mode=True))
+             for n in ("chain", "compacted")]
+    with pytest.MonkeyPatch.context() as mp:  # one bootstrap task (file) per block
+        mp.setattr(replay, "_one_task_rows", lambda: 100)
+        for lake in lakes:
+            lake.init_snapshot(ray.data.from_arrow(blocks))
+    for i, lo in enumerate(range(0, ev.num_rows, 300)):
+        p = tmp_path / f"ev{i}.parquet"
+        pq.write_table(ev.slice(lo, 300), p)
+        for lake in lakes:
+            lake.apply_log(str(p))
+    assert lakes[1].compact() == 4
+    chain, compacted = lakes
+    assert any(len(e.paths) > 1 and e.delta_paths for e in chain.manifest.partitions.values())
+    assert chain.to_table().equals(compacted.to_table())
+
+    def rows(lake):
+        return pa.concat_tables(lake.read().iter_batches(batch_format="pyarrow"))
+
+    assert rows(chain).equals(rows(compacted))
+    packs = [pa.concat_tables(pack_sequences(lake.read(), seq_len=64, eos=0)
+                              .iter_batches(batch_format="pyarrow")) for lake in lakes]
+    assert packs[0].num_rows > 0 and packs[0].equals(packs[1])

@@ -165,9 +165,9 @@ def _applied_rows(monkeypatch, scan, targets, files=None, part=None) -> pa.Table
     seen = []
     real = replay._route
 
-    def route(t, targets, combine=False):
+    def route(t, targets):
         seen.append(t)
-        return real(t, targets, combine).slice(0, 0)
+        return real(t, targets).slice(0, 0)
 
     monkeypatch.setattr(replay, "_route", route)
     shards = None if part is None else [(part, files)]

@@ -5,11 +5,13 @@ lost state commit, the envelope-name and old-state guards, the lake's own
 a second partitioned merge."""
 
 import json
+import logging
 import os
 import re
 
 import duckdb
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -112,7 +114,7 @@ def test_rerun_after_lost_state_commit_is_exactly_once(tmp_path, monkeypatch):
     assert got["cur"].to_pylist() == [float(c) for c in range(1800, 2100)]
 
 
-@pytest.mark.parametrize("col", ["lsn", "op", "part", "n_src", "lsn_seen", "tgt",
+@pytest.mark.parametrize("col", ["lsn", "op", "part", "tgt",
                                  "_ab_cdc_updated_at", "_ab_cdc_lsn", "doc_id"])
 def test_envelope_column_is_refused_before_any_write(tmp_path, col):
     """A source column named like a lake envelope column raises a
@@ -178,3 +180,41 @@ def test_incremental_has_no_second_partitioned_merge():
     assert offenders == []
     with open(os.path.join(PKG, "pipelines", "replay.py")) as fh:
         assert call.search(fh.read())  # the guard still sees the real calls
+
+
+def test_former_combiner_column_names_are_payload(tmp_path):
+    """``n_src`` and ``lsn_seen`` named columns of the removed combiner, not
+    envelope columns: a source column so named is payload like any other."""
+    path = _source(tmp_path, 400, n_src=pa.array(np.arange(400), pa.int64()),
+                   lsn_seen=pa.array(np.arange(400) * 2, pa.int64()))
+    eng = SyncEngine(str(tmp_path / "dest"))
+    eng.sync(_cfg(), path)
+    got = pa.Table.from_pylist(eng.read("s", dedup=True).take_all()).sort_by("pk")
+    latest = [k + 300 if k < 100 else k for k in range(300)]  # each key's last row
+    assert got["n_src"].to_pylist() == latest
+    assert got["lsn_seen"].to_pylist() == [2 * r for r in latest]
+
+
+def test_pandas_metadata_source_syncs_without_schema_hash_warning(tmp_path, caplog):
+    """Three syncs of a source written from pandas, whose file schemas carry
+    pandas metadata, log no ``Failed to hash the schemas`` warning: Ray
+    Data logs one each time it unifies schemas that carry such metadata."""
+    eng = SyncEngine(str(tmp_path / "dest"))
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(caplog.handler)
+    try:
+        for i in range(3):
+            df = pd.DataFrame({"pk": np.arange(600) % 200,
+                               "cur": np.arange(i * 600, (i + 1) * 600, dtype=np.float64)})
+            src = tmp_path / f"src{i}"
+            src.mkdir()
+            for j in range(3):  # several files: several blocks to unify
+                pq.write_table(pa.Table.from_pandas(df.iloc[j * 200:(j + 1) * 200]),
+                               src / f"f{j}.parquet")
+            assert pq.read_schema(src / "f0.parquet").pandas_metadata
+            eng.sync(_cfg(), str(src))
+    finally:
+        logger.removeHandler(caplog.handler)
+    assert not [r for r in caplog.records if "Failed to hash the schemas" in r.getMessage()]
+    got = pa.Table.from_pylist(eng.read("s", dedup=True).take_all())
+    assert sorted(got["cur"].to_pylist()) == [float(c) for c in range(1600, 1800)]
