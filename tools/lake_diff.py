@@ -280,9 +280,8 @@ def diff(a: str, b: str) -> list[str]:
     import pyarrow as pa
 
     la, lb = _lakes(a), _lakes(b)
-    out = [f"{name}: lake only in {side}" for name, side in
-           [(n, a) for n in sorted(la.keys() - lb.keys())]
-           + [(n, b) for n in sorted(lb.keys() - la.keys())]]
+    out = [f"{n}: lake only in {a}" for n in sorted(la.keys() - lb.keys())]
+    out += [f"{n}: lake only in {b}" for n in sorted(lb.keys() - la.keys())]
     for name in sorted(la.keys() & lb.keys()):
         ma, mb = _manifest(la[name]), _manifest(lb[name])
         for key in sorted(ma.keys() | mb.keys()):
