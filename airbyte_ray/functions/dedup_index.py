@@ -28,19 +28,12 @@ Flow shapes:
   explode band rows.  No driver-side materialization of anything.
 * :func:`append_to_index` — log-structured: the new batch's band/sig
   files land NEXT TO the existing shard files (parquet dirs append).
-* :func:`dedup_against_index` — TWO execution shapes, picked by batch
-  size (``mode="auto"``).  Small probes: three distributed passes
-  (signature the new batch; collision-scan the touched band shards with
-  an in-task band-key semi-filter; fetch candidate signatures from the
-  touched sig shards) with the candidate-sized middle handled
-  driver-side in numpy — lowest fixed overhead.  Large ingest batches:
-  the fully distributed path — NO driver array is O(batch): Bloom-pruned
-  shard scans (fixed-size bitmap, distributed OR-fold build), ONE
-  ``groupby(band_key)`` exchange emitting old×new candidate pairs, a
-  distributed pair-dedup, and signature verification as partitioned
-  hash joins (sigs packed to fixed-size-binary).  Measured: probe cost
-  flat as the batch grows 10× (bench ``dedup_probe_10x_ratio`` ≈ 1.0).
-  Hot buckets fail LOUDLY over ``bucket_cap`` on both paths.
+* :func:`dedup_against_index` — one pass over the new batch's text, then
+  ONE plan of plain tasks over contiguous shard ranges, aligned with this
+  layout so each stage's input is already split the way the next stage
+  reads it (route → probe → attach → verify; see its docstring).  The
+  driver holds only refs and shard lists.  Hot buckets fail LOUDLY over
+  ``bucket_cap``.
 
 Verification is by signature estimate (index-only; the historical text
 is never re-read).  At 64 permutations the estimator's σ is ≈0.06 at
@@ -62,25 +55,31 @@ from functools import partial
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..config import cluster_cpus
 from ..state.atomic import commit_json
 from .dedup import _band_rows, _minhash_batch
 
 _DEFAULT_SEED = 97  # MinHasher's default — recorded in meta for the probe side
 
 
+def _band_shard(keys: pa.ChunkedArray, n_shards: int) -> np.ndarray:
+    """The band shard of each band key: ``band_key % n_shards`` (as uint64)."""
+    return (keys.to_numpy().view(np.uint64) % np.uint64(n_shards)).astype(np.int64)
+
+
 def _band_shard_col(t: pa.Table, n_shards: int) -> pa.Table:
-    bk = t["band_key"].to_numpy().astype(np.int64).view(np.uint64)
-    return t.append_column("shard", pa.array((bk % np.uint64(n_shards)).astype(np.int64)))
+    return t.append_column("shard", pa.array(_band_shard(t["band_key"], n_shards)))
 
 
-def _id_shard_col(t: pa.Table, id_col: str, n_shards: int) -> pa.Table:
+def _id_shard(ids: pa.ChunkedArray, n_shards: int) -> np.ndarray:
+    """The sig shard of each id: ``stable_hash(id) % n_shards``."""
     from ..pipelines.replay import stable_hash
 
-    h = stable_hash(t[id_col].cast(pa.string())) % np.uint64(n_shards)
-    return t.append_column("shard", pa.array(h.astype(np.int64)))
+    return (stable_hash(ids.cast(pa.string())) % np.uint64(n_shards)).astype(np.int64)
 
 
 def build_minhash_index(
@@ -105,8 +104,8 @@ def build_minhash_index(
         .map_batches(partial(_minhash_batch, col=text_col,
                              num_perm=num_perm, shingle_k=shingle_k),
                      batch_format="pyarrow")
-        .map_batches(lambda t: _id_shard_col(t.drop_columns([text_col]), id_col, n_shards),
-                     batch_format="pyarrow")
+        .map_batches(lambda t: t.drop_columns([text_col]).append_column(
+            "shard", pa.array(_id_shard(t[id_col], n_shards))), batch_format="pyarrow")
         .write_parquet(sig_dir, partition_cols=["shard"])
     )
     # pass 2: over the (small) sigs table → band rows
@@ -137,7 +136,8 @@ def append_to_index(ds: ray.data.Dataset, index_dir: str,
         .materialize()  # small append batch by contract; read twice below
     )
     sigged.map_batches(
-        lambda t: _id_shard_col(t, id_col, meta["n_shards"]), batch_format="pyarrow"
+        lambda t: t.append_column("shard", pa.array(_id_shard(t[id_col], meta["n_shards"]))),
+        batch_format="pyarrow",
     ).write_parquet(os.path.join(index_dir, "sigs"), partition_cols=["shard"])
     sigged.map_batches(
         lambda t: _band_shard_col(
@@ -152,401 +152,199 @@ def dedup_against_index(
     text_col: str = "text",
     sim_threshold: float = 0.8,
     bucket_cap: int = 100_000,
-    mode: str = "auto",
-    driver_cap: int = 200_000,
 ) -> ray.data.Dataset:
     """Near-dup matches of a NEW batch against the persisted index:
     returns (a=indexed id, b=new id, sim=estimated Jaccard ≥ threshold).
 
-    Two execution shapes, selected by ``mode`` (``auto`` picks by new-batch
-    size against ``driver_cap`` rows):
+    One Ray Data pass signs the new batch (the only pass over its text);
+    then one plan of plain tasks over contiguous shard ranges, about one
+    per CPU, each returning one slice per range of the next stage:
 
-    ``driver`` — exactly THREE distributed passes, everything else
-    driver-side numpy over candidate-sized tables:
+    1. route — one task per signature block: its band rows by band-shard
+       range, its (id, sig) rows by id-shard range, and the band shards it
+       touches (the driver turns those into each probe's file list);
+    2. probe — one task per band-shard range: the touched shards' band
+       rows whose key is one of its new band keys, paired old × new per
+       key (a bucket over ``bucket_cap`` pairs raises);
+    3. attach — one task per id-shard range of ``a``: the candidates'
+       signatures from the sig shards that hold them (a missing one
+       raises: band and sig tables out of sync);
+    4. verify — one task per id-shard range of ``b``: the new signatures
+       from the routed sigs, the estimate, the threshold.
 
-    1. signature the new batch (distributed; the only pass over its text);
-    2. scan the TOUCHED band shards, semi-filtered by the batch's
-       band-key set inside the read tasks (collisions only come back);
-    3. fetch the candidate ids' signatures from the touched sig shards.
-
-    The first version chained groupbys and hash-joins for the candidate
-    stages; at sf0.1 that spent ~25 s of fixed per-execution overhead on
-    KILOBYTES of candidates.  For a small probe batch, driver-side
-    candidate handling is the right call — collisions/candidates are
-    band-bucket-bounded, and the big sides (index scans) stay
-    distributed and pruned.
-
-    ``distributed`` — the 100-TB-ingest shape: NO driver-side array is
-    O(new batch).  The new batch's band rows stay a Dataset; touched
-    shards come back as a ≤ ``n_shards`` list; in-task pruning uses a
-    FIXED-SIZE Bloom filter over the batch's band keys (distributed
-    OR-fold build, :func:`bloom.build_bloom`); old×new candidate pairs
-    are emitted by ONE ``groupby(band_key)`` exchange (hot buckets still
-    raise over ``bucket_cap``); and signature verification runs as two
-    partitioned hash joins against the touched (Bloom-pruned) sig shards
-    with signatures packed as fixed-size-binary payloads (Acero rejects
-    list payloads).  A left join keeps the band/sig out-of-sync
-    integrity RuntimeError loud, now raised inside the verify tasks."""
+    The driver holds only refs and shard lists, never an array of the
+    batch or of its candidates."""
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
     id_col, num_perm, n_shards = meta["id_col"], meta["num_perm"], meta["n_shards"]
     if meta["seed"] != _DEFAULT_SEED:
         raise ValueError("index built with a non-default hasher seed")
-    if mode not in ("auto", "driver", "distributed"):
-        raise ValueError(f"unknown mode {mode!r}")
 
-    # pass 1 — signatures of the new batch (both paths start here)
-    sigged = (
+    signed = (
         new_ds.select_columns([id_col, text_col])
         .map_batches(partial(_minhash_batch, col=text_col,
                              num_perm=num_perm, shingle_k=meta["shingle_k"]),
                      batch_format="pyarrow")
         .map_batches(lambda t: t.drop_columns([text_col]), batch_format="pyarrow")
+        .materialize()
     )
-    if mode != "driver":
-        sigged = sigged.materialize()  # consumed 2-3×; sigs ≪ text
-        if mode == "distributed" or sigged.count() > driver_cap:
-            return _probe_distributed(
-                sigged, index_dir, meta, sim_threshold, bucket_cap)
-    sig_tbl = pa.concat_tables(
-        [t for t in ray.get(sigged.to_arrow_refs()) if t.num_rows]
-        or [pa.table({id_col: pa.array([], pa.int64()),
-                      "sig": pa.array([], pa.list_(pa.int64(), num_perm))})]
-    ).combine_chunks()
-    id_type = sig_tbl.schema.field(id_col).type
-
-    def _empty() -> ray.data.Dataset:
-        return ray.data.from_arrow(pa.table({
-            "a": pa.array([], id_type), "b": pa.array([], id_type),
-            "sim": pa.array([], pa.float64())}))
-
-    if sig_tbl.num_rows == 0:
-        return _empty()
-
-    # driver-side band keys of the new batch (n_new × bands int64s)
-    nb = _band_rows(sig_tbl, id_col, num_perm, meta["bands"]).drop_columns(["sig"])
-    nb_keys = nb["band_key"].to_numpy()
-    key_set = np.unique(nb_keys)
-    touched = sorted(np.unique(key_set.view(np.uint64) % np.uint64(n_shards)).tolist())
-    band_files = [
-        f for s in touched
-        for f in sorted(glob.glob(os.path.join(index_dir, "bands", f"shard={s}", "*.parquet")))
+    if signed.schema() is None:  # an empty batch
+        return ray.data.from_arrow(_no_matches(pa.int64()))
+    schema, blocks = signed.schema().base_schema, signed.to_arrow_refs()
+    k = min(n_shards, max(1, int(cluster_cpus())))
+    cuts = [n_shards * j // k for j in range(k)]
+    ends = cuts[1:] + [n_shards]
+    routed = [_fan(_route, 1 + 2 * k, b, schema, meta, cuts) for b in blocks]
+    touched = sorted(set().union(*ray.get([r[0] for r in routed])))
+    probed = [
+        _fan(_probe, k, meta, cuts, bucket_cap,
+             _shard_files(index_dir, "bands", [s for s in touched if lo <= s < hi]),
+             *[r[1 + j] for r in routed])
+        for j, (lo, hi) in enumerate(zip(cuts, ends))
     ]
-    if not band_files:
-        return _empty()
+    attached = [_fan(_attach, k, index_dir, meta, cuts, *[p[j] for p in probed])
+                for j in range(k)]
+    return ray.data.from_arrow_refs([
+        _verify.remote(meta, sim_threshold, len(blocks),
+                       *[r[1 + k + j] for r in routed], *[a[j] for a in attached])
+        for j in range(k)
+    ])
 
-    # pass 2 — collision scan: touched shards, filtered in-task to the
-    # batch's band keys, so only colliding rows return to the driver
-    kref = ray.put(pa.array(key_set))
 
-    def _semi(t: pa.Table) -> pa.Table:
-        keys = ray.get(kref)
-        return t.select(["band_key", id_col]).filter(
-            pc.is_in(t["band_key"], value_set=keys))
+def _no_matches(id_type: pa.DataType) -> pa.Table:
+    return pa.table({"a": pa.array([], id_type), "b": pa.array([], id_type),
+                     "sim": pa.array([], pa.float64())})
 
-    coll = pa.concat_tables(
-        [t for t in ray.get(
-            ray.data.read_parquet(band_files, partitioning=None)
-            .map_batches(_semi, batch_format="pyarrow").to_arrow_refs())
-         if t.num_rows]
-        or [pa.table({"band_key": pa.array([], pa.int64()),
-                      id_col: pa.array([], id_type)})]
-    ).combine_chunks()
-    if coll.num_rows == 0:
-        return _empty()
 
-    # driver-side bucket join (collisions × new band rows, both small):
-    # sort both sides by band_key, pair via run-length windows
-    ck = coll["band_key"].to_numpy()
-    c_ord = np.argsort(ck, kind="stable")
-    n_ord = np.argsort(nb_keys, kind="stable")
-    ck_s, nk_s = ck[c_ord], nb_keys[n_ord]
-    common = np.intersect1d(np.unique(ck_s), np.unique(nk_s))
-    a_parts, b_parts = [], []
-    c_lo = np.searchsorted(ck_s, common, side="left")
-    c_hi = np.searchsorted(ck_s, common, side="right")
-    n_lo = np.searchsorted(nk_s, common, side="left")
-    n_hi = np.searchsorted(nk_s, common, side="right")
-    prods = (c_hi - c_lo) * (n_hi - n_lo)
-    if prods.size and int(prods.max()) > bucket_cap:
-        k = int(common[int(prods.argmax())])
-        raise ValueError(
-            f"band bucket {k} with {int(prods.max())} cross pairs exceeds "
-            f"bucket_cap={bucket_cap}: near-identical content is flooding "
-            "one bucket — dedup the new batch internally first, or raise "
-            "bucket_cap explicitly")
-    for i in range(len(common)):
-        ci = c_ord[c_lo[i]: c_hi[i]]
-        ni = n_ord[n_lo[i]: n_hi[i]]
-        gi, gj = np.meshgrid(ci, ni, indexing="ij")
-        a_parts.append(gi.ravel())
-        b_parts.append(gj.ravel())
-    if not a_parts:
-        return _empty()
-    a_idx = np.concatenate(a_parts)
-    b_idx = np.concatenate(b_parts)
-    a_ids = coll[id_col].take(pa.array(a_idx)).to_numpy(zero_copy_only=False)
-    b_ids = nb[id_col].take(pa.array(b_idx)).to_numpy(zero_copy_only=False)
-    # the same pair surfaces from several bands — dedup on (a, b).
-    # pandas drop_duplicates is id-type-agnostic (np.unique(axis=0)
-    # rejects object/string arrays — review finding)
-    import pandas as pd
+def _fan(task, n: int, *args) -> list:
+    """Run ``task`` with ``n`` return objects (one per shard range); their refs."""
+    refs = task.options(num_returns=n).remote(*args)
+    return refs if n > 1 else [refs]
 
-    first = ~pd.DataFrame({"a": a_ids, "b": b_ids}).duplicated().to_numpy()
-    a_ids, b_ids = a_ids[first], b_ids[first]
 
-    # pass 3 — candidate a-ids' signatures from their sig shards only
-    cand_tbl = pa.table({id_col: pa.array(a_ids, id_type)})
-    cand_shards = sorted(np.unique(
-        _id_shard_col(cand_tbl, id_col, n_shards)["shard"].to_numpy()).tolist())
-    sig_files = [
-        f for s in cand_shards
-        for f in sorted(glob.glob(os.path.join(index_dir, "sigs", f"shard={s}", "*.parquet")))
-    ]
-    aref = ray.put(pa.array(np.unique(a_ids), id_type))
+def _split(t: pa.Table, shard: np.ndarray, cuts: list[int]) -> list[pa.Table]:
+    """``t``'s rows ordered by ``shard``, one slice per shard range
+    (``cuts``: each range's first shard)."""
+    order = np.argsort(shard, kind="stable")
+    at = [0, *np.searchsorted(shard[order], cuts[1:]), t.num_rows]
+    t = t.take(order)
+    return [t.slice(lo, hi - lo) for lo, hi in zip(at, at[1:])]
 
-    def _fetch(t: pa.Table) -> pa.Table:
-        want = ray.get(aref)
-        return t.select([id_col, "sig"]).filter(
-            pc.is_in(t[id_col], value_set=want))
 
-    old_sig_tbl = pa.concat_tables(
-        [t for t in ray.get(
-            ray.data.read_parquet(sig_files, partitioning=None)
-            .map_batches(_fetch, batch_format="pyarrow").to_arrow_refs())
-         if t.num_rows]
-        # empty fallback so the out-of-sync integrity check below fires as
-        # the designed RuntimeError, not ArrowInvalid here (advisory finding)
-        or [pa.table({id_col: pa.array([], id_type),
-                      "sig": pa.array([], sig_tbl["sig"].type)})]
-    ).combine_chunks()
+def _shard_files(index_dir: str, table: str, shards) -> list[str]:
+    """The parquet files of ``table``'s (``bands`` or ``sigs``) ``shards``."""
+    return [f for s in shards for f in sorted(
+        glob.glob(os.path.join(index_dir, table, f"shard={s}", "*.parquet")))]
 
-    # driver-side similarity: gather both sig matrices by candidate row
-    def _sig_matrix(tbl: pa.Table) -> np.ndarray:
-        return np.asarray(tbl["sig"].combine_chunks().flatten()).reshape(
-            tbl.num_rows, num_perm).astype(np.uint64)
 
-    old_ids_arr = old_sig_tbl[id_col].to_numpy(zero_copy_only=False)
-    old_order = np.argsort(old_ids_arr, kind="stable")
-    # clip: searchsorted returns len(old_ids_arr) for ids beyond the last
-    # element, which would IndexError before the integrity check can fire
-    # (advisory finding) — the clipped position then fails the equality test
-    pos_raw = np.searchsorted(old_ids_arr[old_order], a_ids)
-    pos_a = old_order[np.clip(pos_raw, 0, max(len(old_ids_arr) - 1, 0))] \
-        if len(old_ids_arr) else np.zeros(0, np.int64)
-    if len(old_ids_arr) == 0 or not (old_ids_arr[pos_a] == a_ids).all():
+def _read_filtered(files: list[str], cols: list[str], key: str, keep: pa.Array,
+                   empty: pa.Table) -> pa.Table:
+    """The rows of ``files`` whose ``key`` is in ``keep``, one file at a time.
+    Membership is a search of ``keep`` sorted once: ``pc.is_in`` rebuilds its
+    hash set on every call, which cost 10-20 ms a file against 160k keys."""
+    keep = np.sort(keep.to_numpy(zero_copy_only=False))
+    parts = []
+    for f in files:
+        t = pq.ParquetFile(f).read(columns=cols)
+        v = t[key].to_numpy()
+        parts.append(t.filter(pa.array(keep[np.searchsorted(keep, v).clip(max=len(keep) - 1)] == v)))
+    return pa.concat_tables(parts) if parts else empty
+
+
+def _gather(sigs: pa.Table, id_col: str, ids: pa.ChunkedArray) -> pa.ChunkedArray:
+    """``sigs``' signature of each of ``ids``, by a sorted-index gather
+    (Acero joins reject list payloads); raises if one is missing."""
+    have = sigs[id_col].to_numpy(zero_copy_only=False)
+    want = ids.to_numpy(zero_copy_only=False)
+    order = np.argsort(have, kind="stable")
+    pos = order[np.searchsorted(have[order], want).clip(max=len(have) - 1)] if len(have) else order
+    if len(pos) != len(want) or not (have[pos] == want).all():
         raise RuntimeError(
             "candidate id missing from its sig shard — band and sig "
             "tables are out of sync (partial append?)")
-    new_ids_arr = sig_tbl[id_col].to_numpy(zero_copy_only=False)
-    new_order = np.argsort(new_ids_arr, kind="stable")
-    pos_b = new_order[np.searchsorted(new_ids_arr[new_order], b_ids)]
-    sim = (_sig_matrix(old_sig_tbl)[pos_a] == _sig_matrix(sig_tbl)[pos_b]).mean(axis=1)
-    keep = sim >= sim_threshold
-    return ray.data.from_arrow(pa.table({
-        "a": pa.array(a_ids[keep], id_type),
-        "b": pa.array(b_ids[keep], id_type),
-        "sim": pa.array(sim[keep]),
-    }))
+    return sigs["sig"].take(pos)
 
 
-def _pack_sigs(t: pa.Table, id_col: str, num_perm: int, out_id: str,
-               out_sig: str) -> pa.Table:
-    """(id, sig list<int64>[p]) → (out_id, out_sig fixed_size_binary[8p])
-    — Acero hash joins reject list payloads but take fixed-width binary,
-    and the pack/unpack is a zero-copy buffer view either way."""
-    n = t.num_rows
-    bw = 8 * num_perm
-    if n == 0:
-        return pa.table({out_id: pa.array([], t[id_col].type),
-                         out_sig: pa.array([], pa.binary(bw))})
-    mat = np.ascontiguousarray(
-        np.asarray(t["sig"].combine_chunks().flatten()).reshape(n, num_perm))
-    blob = pa.FixedSizeBinaryArray.from_buffers(
-        pa.binary(bw), n, [None, pa.py_buffer(mat.tobytes())])
-    return pa.table({out_id: t[id_col], out_sig: blob})
+def _sig_matrix(sig: pa.ChunkedArray, num_perm: int) -> np.ndarray:
+    return np.asarray(sig.combine_chunks().flatten()).reshape(len(sig), num_perm)
 
 
-def _fsb_matrix(col: pa.ChunkedArray, num_perm: int) -> np.ndarray:
-    """fixed_size_binary[8p] column (no nulls) → (n, p) int64 matrix,
-    zero-copy modulo the slice-offset adjustment."""
-    arr = col.combine_chunks()
-    bw = 8 * num_perm
-    buf = np.frombuffer(arr.buffers()[1], np.uint8)
-    start = arr.offset * bw
-    return buf[start:start + len(arr) * bw].view(np.int64).reshape(
-        len(arr), num_perm)
+@ray.remote
+def _route(t: pa.Table, schema: pa.Schema, meta: dict, cuts: list[int]) -> list:
+    """Route one signature block: the band shards it touches, then its band
+    rows (band_key, id) by band-shard range, then its (id, sig) rows by
+    id-shard range."""
+    id_col, n = meta["id_col"], meta["n_shards"]
+    t = t if t.num_rows else schema.empty_table()  # Ray's empty blocks may lack columns
+    nb = _band_rows(t, id_col, meta["num_perm"], meta["bands"]).drop_columns(["sig"])
+    shard = _band_shard(nb["band_key"], n)
+    return [np.unique(shard).tolist(), *_split(nb, shard, cuts),
+            *_split(t, _id_shard(t[id_col], n), cuts)]
 
 
-def _probe_distributed(
-    sigged: ray.data.Dataset,
-    index_dir: str,
-    meta: dict,
-    sim_threshold: float,
-    bucket_cap: int,
-    fp_rate: float = 0.005,
-) -> ray.data.Dataset:
-    """The large-ingest probe: see :func:`dedup_against_index` docstring.
-    Driver state is bounded by ≤ n_shards shard lists and two fixed-size
-    Bloom bitmaps — never by the new batch or the candidate set."""
-    from .bloom import BloomFilter, build_bloom
-    from ..config import _worker_state
-    from ..joins import hash_join
+@ray.remote
+def _probe(meta: dict, cuts: list[int], bucket_cap: int, files: list[str],
+           *slices: pa.Table) -> pa.Table | list[pa.Table]:
+    """Probe one band-shard range: its new band rows meet the indexed band
+    rows of ``files`` that share a key, paired old × new per key by a sorted
+    run-length pairing; the distinct (a, b) pairs by id-shard range of a."""
+    id_col = meta["id_col"]
+    nb = pa.concat_tables(slices)
+    old = _read_filtered(files, ["band_key", id_col], "band_key",
+                         pc.unique(nb["band_key"]), nb.slice(0, 0))
+    ok, nk = old["band_key"].to_numpy(), nb["band_key"].to_numpy()
+    o_ord, n_ord = np.argsort(ok, kind="stable"), np.argsort(nk, kind="stable")
+    common = np.intersect1d(ok, nk)
+    o_lo = np.searchsorted(ok[o_ord], common)
+    n_lo = np.searchsorted(nk[n_ord], common)
+    n_cnt = np.searchsorted(nk[n_ord], common, side="right") - n_lo
+    cnt = (np.searchsorted(ok[o_ord], common, side="right") - o_lo) * n_cnt
+    if cnt.size and int(cnt.max()) > bucket_cap:
+        raise ValueError(
+            f"band bucket {int(common[cnt.argmax()])} with {int(cnt.max())} cross "
+            f"pairs exceeds bucket_cap={bucket_cap}: near-identical content is "
+            "flooding one bucket — dedup the new batch internally first, or "
+            "raise bucket_cap explicitly")
+    key = np.repeat(np.arange(len(common)), cnt)  # each pair's key, then its
+    p = np.arange(len(key)) - np.repeat(np.cumsum(cnt) - cnt, cnt)  # rank in it
+    pairs = pa.table({
+        "a": old[id_col].take(o_ord[o_lo[key] + p // n_cnt[key]]),
+        "b": nb[id_col].take(n_ord[n_lo[key] + p % n_cnt[key]]),
+    }).group_by(["a", "b"]).aggregate([])  # a pair surfaces from several bands
+    out = _split(pairs, _id_shard(pairs["a"], meta["n_shards"]), cuts)
+    return out if len(out) > 1 else out[0]
 
-    id_col, num_perm, n_shards = meta["id_col"], meta["num_perm"], meta["n_shards"]
-    bands = meta["bands"]
-    sch = sigged.schema()
-    id_type = dict(zip(sch.names, sch.types))[id_col]
 
-    def _empty() -> ray.data.Dataset:
-        return ray.data.from_arrow(pa.table({
-            "a": pa.array([], id_type), "b": pa.array([], id_type),
-            "sim": pa.array([], pa.float64())}))
+@ray.remote
+def _attach(index_dir: str, meta: dict, cuts: list[int],
+            *slices: pa.Table) -> pa.Table | list[pa.Table]:
+    """Attach ``sig_a`` for one id-shard range of a: the candidates'
+    signatures from the sig shards that hold them; (a, b, sig_a) by
+    id-shard range of b."""
+    id_col, n = meta["id_col"], meta["n_shards"]
+    pairs = pa.concat_tables(slices).group_by(["a", "b"]).aggregate([])
+    want = pc.unique(pairs["a"])
+    sigs = _read_filtered(
+        _shard_files(index_dir, "sigs", np.unique(_id_shard(want, n)).tolist()),
+        [id_col, "sig"], id_col, want,
+        pa.table({id_col: want.slice(0, 0), "sig": pa.array([], pa.list_(pa.int64()))}))
+    out = _split(pairs.append_column("sig_a", _gather(sigs, id_col, pairs["a"])),
+                 _id_shard(pairs["b"], n), cuts)
+    return out if len(out) > 1 else out[0]
 
-    n_new = sigged.count()
-    if n_new == 0:
-        return _empty()
 
-    # new band rows stay a Dataset (never collected)
-    nb_ds = sigged.map_batches(
-        lambda t: _band_rows(t, id_col, num_perm, bands).drop_columns(["sig"]),
-        batch_format="pyarrow",
-    ).materialize()
-
-    # touched band shards: distinct band_key % n_shards (≤ n_shards values)
-    def _shards_of(t: pa.Table) -> pa.Table:
-        bk = t["band_key"].to_numpy().astype(np.int64).view(np.uint64)
-        u = np.unique((bk % np.uint64(n_shards)).astype(np.int64))
-        return pa.table({"shard": pa.array(u)})
-
-    touched = sorted(set(
-        nb_ds.map_batches(_shards_of, batch_format="pyarrow").unique("shard")))
-    band_files = [
-        f for s in touched
-        for f in sorted(glob.glob(os.path.join(index_dir, "bands", f"shard={s}", "*.parquet")))
-    ]
-    if not band_files:
-        return _empty()
-
-    # fixed-size Bloom over the batch's band keys — the in-task prune that
-    # replaces the driver key-set broadcast of the small-batch path
-    kbloom = build_bloom(nb_ds, "band_key", est_keys=max(n_new * bands, 64),
-                         fp_rate=fp_rate)
-    kb_ref = ray.put((kbloom.bits.tobytes(), kbloom.n_bits, kbloom.k))
-
-    def _bloom_from(ref):
-        def make() -> BloomFilter:
-            blob, n_bits, k = ray.get(ref)
-            b = BloomFilter(n_bits, k)
-            b.bits = np.frombuffer(blob, np.uint8).copy()
-            return b
-        return make
-
-    def _prune_old(t: pa.Table) -> pa.Table:
-        from .sketch import _key_np
-        if t.num_rows == 0:
-            return pa.table({"band_key": pa.array([], pa.int64()),
-                             id_col: pa.array([], id_type),
-                             "__side": pa.array([], pa.int8())})
-        b = _worker_state(("didx_kbloom", kb_ref.hex()), _bloom_from(kb_ref))
-        t = t.select(["band_key", id_col]).filter(
-            pa.array(b.contains(_key_np(t["band_key"]))))
-        return t.append_column("__side", pa.array(np.zeros(t.num_rows, np.int8)))
-
-    old_rows = ray.data.read_parquet(
-        band_files, partitioning=None).map_batches(_prune_old, batch_format="pyarrow")
-    new_rows = nb_ds.map_batches(
-        lambda t: t.append_column("__side", pa.array(np.ones(t.num_rows, np.int8))),
-        batch_format="pyarrow")
-
-    def _cross(g: pa.Table) -> pa.Table:
-        side = g["__side"].to_numpy(zero_copy_only=False)
-        old_i = np.flatnonzero(side == 0)
-        new_i = np.flatnonzero(side == 1)
-        if len(old_i) == 0 or len(new_i) == 0:  # bloom-FP-only bucket
-            return pa.table({"a": pa.array([], id_type),
-                             "b": pa.array([], id_type)})
-        if len(old_i) * len(new_i) > bucket_cap:
-            k = g["band_key"][0].as_py()
-            raise ValueError(
-                f"band bucket {k} with {len(old_i) * len(new_i)} cross pairs "
-                f"exceeds bucket_cap={bucket_cap}: near-identical content is "
-                "flooding one bucket — dedup the new batch internally first, "
-                "or raise bucket_cap explicitly")
-        gi, gj = np.meshgrid(old_i, new_i, indexing="ij")
-        return pa.table({"a": g[id_col].take(pa.array(gi.ravel())),
-                         "b": g[id_col].take(pa.array(gj.ravel()))})
-
-    pairs = (
-        old_rows.union(new_rows)
-        .groupby("band_key").map_groups(_cross, batch_format="pyarrow")
-        # the same pair surfaces from several bands — dedup distributed
-        .groupby(["a", "b"]).map_groups(lambda g: g.slice(0, 1),
-                                        batch_format="pyarrow")
-        .materialize()  # candidate-sized; consumed twice below
-    )
-    if pairs.count() == 0:
-        return _empty()
-
-    # touched sig shards for the candidate a-ids (≤ n_shards values)
-    def _a_shards(t: pa.Table) -> pa.Table:
-        sh = _id_shard_col(pa.table({id_col: t["a"]}), id_col, n_shards)["shard"]
-        return pa.table({"shard": pa.array(np.unique(sh.to_numpy()))})
-
-    a_shards = sorted(set(
-        pairs.map_batches(_a_shards, batch_format="pyarrow").unique("shard")))
-    sig_files = [
-        f for s in a_shards
-        for f in sorted(glob.glob(os.path.join(index_dir, "sigs", f"shard={s}", "*.parquet")))
-    ]
-
-    # Bloom over candidate a-ids: prunes the sig scan to ~candidates + FP
-    # (extra rows are dropped by the join, so FPs cost I/O, not correctness)
-    abloom = build_bloom(pairs, "a", est_keys=max(pairs.count(), 64),
-                         fp_rate=fp_rate)
-    ab_ref = ray.put((abloom.bits.tobytes(), abloom.n_bits, abloom.k))
-
-    def _prune_sigs(t: pa.Table) -> pa.Table:
-        from .sketch import _key_np
-        t = _pack_sigs(t, id_col, num_perm, "a", "sig_a")
-        if t.num_rows == 0:
-            return t
-        b = _worker_state(("didx_abloom", ab_ref.hex()), _bloom_from(ab_ref))
-        return t.filter(pa.array(b.contains(_key_np(t["a"]))))
-
-    old_sigs = (
-        ray.data.read_parquet(sig_files, partitioning=None)
-        .map_batches(_prune_sigs, batch_format="pyarrow")
-        if sig_files else
-        ray.data.from_arrow(pa.table({
-            "a": pa.array([], id_type),
-            "sig_a": pa.array([], pa.binary(8 * num_perm))}))
-    )
-    new_sigs = sigged.map_batches(
-        partial(_pack_sigs, id_col=id_col, num_perm=num_perm,
-                out_id="b", out_sig="sig_b"),
-        batch_format="pyarrow")
-
-    # left joins keep missing sigs visible as nulls → loud integrity error
-    joined = hash_join(
-        hash_join(pairs, old_sigs, on="a", how="left"),
-        new_sigs, on="b", how="left")
-
-    def _verify(t: pa.Table) -> pa.Table:
-        empty = pa.table({"a": pa.array([], id_type),
-                          "b": pa.array([], id_type),
-                          "sim": pa.array([], pa.float64())})
-        if t.num_rows == 0:
-            return empty
-        if t["sig_a"].null_count or t["sig_b"].null_count:
-            raise RuntimeError(
-                "candidate id missing from its sig shard — band and sig "
-                "tables are out of sync (partial append?)")
-        sim = (_fsb_matrix(t["sig_a"], num_perm)
-               == _fsb_matrix(t["sig_b"], num_perm)).mean(axis=1)
-        out = pa.table({"a": t["a"], "b": t["b"], "sim": pa.array(sim)})
-        return out.filter(pa.array(sim >= sim_threshold))
-
-    res = joined.map_batches(_verify, batch_format="pyarrow").materialize()
-    # pin the empty-result schema (Ray drops columns on fully-empty outputs)
-    return res if res.count() else _empty()
+@ray.remote
+def _verify(meta: dict, sim_threshold: float, n_new: int, *slices: pa.Table) -> pa.Table:
+    """Verify one id-shard range of b: ``slices`` are the routed new sigs
+    (``n_new`` of them), then the attached pairs; each pair's signature
+    estimate, kept at ``sim >= sim_threshold``."""
+    id_col, num_perm = meta["id_col"], meta["num_perm"]
+    new = pa.concat_tables(slices[:n_new])
+    pairs = [s for s in slices[n_new:] if s.num_rows]  # an empty one's sig_a may be untyped
+    if not pairs:
+        return _no_matches(new.schema.field(id_col).type)
+    pairs = pa.concat_tables(pairs)
+    sim = (_sig_matrix(pairs["sig_a"], num_perm)
+           == _sig_matrix(_gather(new, id_col, pairs["b"]), num_perm)).mean(axis=1)
+    return pa.table({"a": pairs["a"], "b": pairs["b"], "sim": sim}).filter(
+        pa.array(sim >= sim_threshold))

@@ -255,13 +255,14 @@ def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
     BASELINE.md "Segment I/O").  Files written before, snappy with
     dictionary pages, read the same.  The path is
     deterministic, so a retried task rewrites identical bytes; the checksum
-    is an order-insensitive hash of the file's (doc_id, _ab_lsn) pairs."""
+    is an order-insensitive hash of the file's (doc_id, _ab_lsn) pairs: the
+    exact sum of one uint64 per row, mod 2^63 − 1, so the checksums of the
+    files a partition's rows are split into add up to the same value."""
     replace_atomically(os.path.join(lake_dir, rel), lambda tmp: pq.write_table(
         seg, tmp, compression="zstd", use_dictionary=False))
-    checksum = int(
-        (stable_hash(seg["doc_id"]) + seg[LSN_COL].to_numpy().astype(np.uint64)).sum()
-        % np.uint64(2**63 - 1)
-    ) if seg.num_rows else 0
+    v = stable_hash(seg["doc_id"]) + seg[LSN_COL].to_numpy().astype(np.uint64)
+    hi, lo = (v >> np.uint64(32)).sum(), (v & np.uint64(2**32 - 1)).sum()  # no wrap below 2^32 rows
+    checksum = (int(hi) * 2**32 + int(lo)) % (2**63 - 1)
     return {"part": part, "path": rel, "rows": seg.num_rows, "lsn_lo": lsn_lo,
             "lsn_hi": lsn_hi, "n_events": n_events, "checksum": checksum,
             "is_delta": is_delta}

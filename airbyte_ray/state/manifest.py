@@ -43,7 +43,10 @@ class PartitionEntry:
     lsn_lo: int  # lowest lsn applied into this segment's lineage (this run chain)
     lsn_hi: int  # highest lsn applied
     n_events: int  # events applied across the partition's lifetime
-    checksum: int  # order-insensitive hash of (doc_id, lsn) pairs in the newest file
+    #: order-insensitive hash of the (doc_id, lsn) pairs the last write added:
+    #: all base files after a full write (however the rows are split into
+    #: files), the new delta file after a delta apply
+    checksum: int
 
     @property
     def all_paths(self) -> list[str]:

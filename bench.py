@@ -390,12 +390,11 @@ def run_bench() -> dict:
             didx, sim_threshold=0.7,
         ))
 
-        # ---- round-5 proof: the DISTRIBUTED probe's index-side cost is
-        # flat as the new batch grows 10x (0.2% vs 2% of the corpus).  If
-        # index work scaled with the batch the ratio would approach 10;
-        # sub-linear ratio = cost is the flat touched-shard scan plus the
-        # batch's own signatures.  No driver-side array is O(batch) on
-        # this path (Bloom-pruned scans, groupby pair middle, join verify).
+        # ---- the probe's index-side cost is flat as the new batch grows
+        # 10x (0.2% vs 2% of the corpus).  If index work scaled with the
+        # batch the ratio would approach 10; sub-linear ratio = cost is the
+        # flat touched-shard scan plus the batch's own signatures.  No
+        # driver-side array is O(batch): the probe's tasks pass refs.
         def _probe_t(every):
             def fn(t):
                 import pyarrow as _pa2
@@ -410,7 +409,7 @@ def run_bench() -> dict:
                 dedup_against_index(
                     ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
                     .map_batches(fn, batch_format="pyarrow"),
-                    didx, sim_threshold=0.7, mode="distributed",
+                    didx, sim_threshold=0.7,
                 ).materialize()
                 dt = time.perf_counter() - t0
                 best = dt if best is None or dt < best else best

@@ -240,6 +240,30 @@ def test_bootstrap_tasks_sized_by_bound(fixtures, tmp_path, monkeypatch):
     assert tables[0].equals(tables[1])
 
 
+def test_partition_checksum_is_layout_free(fixtures, tmp_path, monkeypatch):
+    """A partition's manifest checksum depends on its rows, not on how they
+    are split into files: one snapshot bootstrapped into several files per
+    partition (bound 100) and into one (∞) records the same checksums, and
+    ``compact()`` of the several-file lake keeps them."""
+    base = fixtures[0]
+    snap = [base.slice(i, 60) for i in range(0, N_BASE, 60)]
+    lakes = {}
+    for bound in (100, float("inf")):
+        with monkeypatch.context() as mp:
+            mp.setattr(replay, "_one_task_rows", lambda: bound)
+            lakes[bound] = LakeTable(str(tmp_path / f"lake{bound}"), ReplayConfig(num_partitions=4))
+            lakes[bound].init_snapshot(ray.data.from_arrow(snap))
+
+    def layout(lake):
+        return {p: (len(e.paths), e.checksum) for p, e in lake.manifest.partitions.items()}
+
+    many, one = layout(lakes[100]), layout(lakes[float("inf")])
+    assert min(n for n, _ in many.values()) > 1 and {n for n, _ in one.values()} == {1}
+    assert {p: c for p, (_, c) in many.items()} == {p: c for p, (_, c) in one.items()}
+    lakes[100].compact()
+    assert layout(lakes[100]) == one
+
+
 def test_bootstrap_runs_upstream_once_per_block(fixtures, tmp_path):
     """A snapshot that is a pipeline, not a table, runs its upstream step
     exactly once per block: the bootstrap neither sizes nor reshapes its
