@@ -121,6 +121,68 @@ def test_probe_reads_only_touched_shards(index_dir, monkeypatch):
         f"probe touched {len(touched_shards)}/{len(all_shards)} shards — no pruning")
 
 
+
+def test_distributed_no_matches_schema_stable(index_dir, monkeypatch):
+    """At the widest fan-out (one shard range per task) a several-block
+    batch with no matches still yields the pinned, typed empty schema."""
+    import airbyte_ray.functions.dedup_index as di
+
+    monkeypatch.setattr(di, "cluster_cpus", lambda: 16)
+    probe = _corpus([(7000 + i, 123456 + i) for i in range(6)])  # fresh texts
+    out = dedup_against_index(rd.from_arrow([probe.slice(0, 2), probe.slice(2)]),
+                              index_dir, sim_threshold=0.9)
+    assert out.count() == 0
+    assert out.schema().names == ["a", "b", "sim"]
+    assert out.schema().types == [pa.int64(), pa.int64(), pa.float64()]
+
+
+def test_distributed_hot_bucket_raises(tmp_path, monkeypatch):
+    """A flooded bucket fails the whole probe loudly when the batch spans
+    several blocks and the shards are cut into one range per task."""
+    import airbyte_ray.functions.dedup_index as di
+
+    d = str(tmp_path / "hotd")
+    same = _doc(1)
+    hist = pa.table({"doc_id": pa.array(np.arange(400)),
+                     "text": pa.array([same] * 400)})
+    build_minhash_index(rd.from_arrow(hist), d, n_shards=4)
+    monkeypatch.setattr(di, "cluster_cpus", lambda: 16)
+    probe = pa.table({"doc_id": pa.array([9000, 9001, 9002]),
+                      "text": pa.array([_doc(5000), _doc(5001), same])})
+    with pytest.raises(Exception, match="bucket_cap"):
+        dedup_against_index(rd.from_arrow([probe.slice(0, 2), probe.slice(2)]), d,
+                            sim_threshold=0.9, bucket_cap=100).to_pandas()
+
+
+def test_distributed_probe_reads_only_touched_shards(index_dir, monkeypatch):
+    """At one shard range per task, the band files handed out are a strict
+    subset of the index's shards, and no shard goes to two probe tasks."""
+    import airbyte_ray.functions.dedup_index as di
+
+    calls = []
+    orig = di._shard_files
+
+    def spy(d, table, shards):
+        files = orig(d, table, shards)
+        if table == "bands":
+            calls.append(files)
+        return files
+
+    monkeypatch.setattr(di, "_shard_files", spy)
+    monkeypatch.setattr(di, "cluster_cpus", lambda: 16)
+    probe = _corpus([(8888, 3), (8889, 42)])
+    out = dedup_against_index(rd.from_arrow(probe), index_dir,
+                              sim_threshold=0.9).to_pandas()
+    assert set(map(tuple, out[["a", "b"]].values)) == {(3, 8888), (42, 8889)}
+    assert len(calls) == 16  # one probe task per shard range
+    per_task = [{os.path.basename(os.path.dirname(f)) for f in files}
+                for files in calls]
+    touched = set().union(*per_task)
+    assert sum(map(len, per_task)) == len(touched), "a shard went to two tasks"
+    all_band_files = glob.glob(os.path.join(index_dir, "bands", "shard=*", "*.parquet"))
+    all_shards = {os.path.basename(os.path.dirname(f)) for f in all_band_files}
+    assert touched and touched < all_shards
+
 def _near(seed, changed):
     """``_doc(seed)`` with its last ``changed`` words replaced."""
     words = _doc(seed).split()
