@@ -9,7 +9,7 @@ of *targets* — one lake's kernel ctx each, plus its row filter (``lsn >``
 the lake's watermark; ``stream == name`` in a shared WAL):
 
     scan_event_log(lsn window)      # ONE footer pass: schema, files, row bound
-                                    # (a Dataset: materialize, count(), blocks)
+                                    # (a Dataset: its blocks and their rows)
     route: read row groups + lsn mask → conform → tag part, target → sort
     merge: _merge_partition per (target, part) slice
     both in one window task per window within _one_task_rows() (or per
@@ -35,6 +35,16 @@ aligned window tasks and the exchange's route and merge tasks run one task
 per range of contiguous partitions, shards, files or keys, cut by
 ``_cut``: about one per CPU, of about equal rows, none over
 ``_one_task_rows()`` unless one is larger.
+
+Every segment is written by ``_write_segment`` and decoded by
+``_read_segment``, and no other code knows its physical form: Parquet,
+zstd without dictionary pages, each ``list<integer|floating>`` column
+(``tokens``) packed as a ``large_binary`` column whose rows are the lists'
+raw little-endian values (zero-copy both ways), so Parquet encodes and
+decodes one BYTE_ARRAY instead of nested-list levels.  A column whose
+lists hold a null element, and every column on a big-endian host, keeps
+the list form; files in list form, from before or mixed into a partition,
+read the same.
 
 Why this shape at 100 TB:
 
@@ -70,6 +80,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
+from ray.data.block import BlockAccessor
 
 from ..config import cluster_cpus
 from ..schemas import CDC_DELETED_AT, CDC_UPDATED_AT, conform_table, unify_schemas
@@ -169,22 +180,17 @@ def _resolve_partition(lake_dir: str, paths: list[str], deltas: list[str],
     unless it is a tombstone, which removes the rows written before it and
     is then gone, as in the full rewrite that applied it: the key's rows
     written after it rank again.  Each file is read on its own with
-    ``ParquetFile.read`` (not ``pq.read_table``, which sets up a one-file
-    dataset per call) and conformed to the lake's schema, whatever
-    encoding wrote it.  Returns the rows, the live
+    :func:`_read_segment` and conformed to the lake's schema, whatever
+    encoding or form wrote it.  Returns the rows, the live
     winners' indices for ONE ``take`` (None: base files alone, all live)
     and, for a write, each key's winner among the window's events."""
-    def read(rel: str, schema: pa.Schema) -> pa.Table:
-        with pq.ParquetFile(os.path.join(lake_dir, rel)) as f:
-            return conform_table(f.read(use_threads=False), schema)
-
-    base = [read(p, seg_schema) for p in paths]
+    base = [_read_segment(os.path.join(lake_dir, p), seg_schema) for p in paths]
     if window is None and not deltas:
         return (pa.concat_tables(base) if base else seg_schema.empty_table()), None, None
     dead_schema = pa.schema(list(seg_schema) + [pa.field(DELETED_COL, pa.bool_())])
     base = [b.append_column(DELETED_COL, pa.array(np.zeros(b.num_rows, bool))) for b in base]
     news = (([] if window is None else [conform_table(window, dead_schema)])
-            + [read(p, dead_schema) for p in reversed(deltas)])
+            + [_read_segment(os.path.join(lake_dir, p), dead_schema) for p in reversed(deltas)])
     # nested field names (list<item> vs list<element>) follow the oldest
     # input, so a rewrite keeps the names its partition's files had
     rows = pa.Table.from_arrays(pa.concat_tables(news + base).columns,
@@ -243,6 +249,23 @@ _LINEAGE_SCHEMA = pa.schema(
 )
 
 
+#: field metadata of a packed segment column: the list type it holds, as a
+#: serialized one-field schema
+_PACKED_KEY = b"airbyte_ray.packed_list"
+
+
+def _packable(typ: pa.DataType) -> bool:
+    return ((pa.types.is_list(typ) or pa.types.is_large_list(typ))
+            and (pa.types.is_integer(typ.value_type) or pa.types.is_floating(typ.value_type)))
+
+
+def _validity(a: pa.Array) -> pa.Buffer | None:
+    """``a``'s validity bitmap, starting at its first row (None: no nulls)."""
+    if not a.null_count:
+        return None
+    return a.buffers()[0] if a.offset == 0 else pc.is_valid(a).buffers()[1]
+
+
 def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
                    lsn_lo: int = 0, lsn_hi: int = 0, n_events: int = 0,
                    is_delta: bool = False) -> dict:
@@ -252,20 +275,97 @@ def _write_segment(lake_dir: str, part: int, rel: str, seg: pa.Table,
     pages: ``tokens`` holds ~50k distinct ids in a 2.6k-row partition, where
     a dictionary page cost write CPU and bytes and saved nothing (zstd
     without it: 44% less write CPU, 15% fewer bytes, reads ~10% slower;
-    BASELINE.md "Segment I/O").  Files written before, snappy with
-    dictionary pages, read the same.  The path is
-    deterministic, so a retried task rewrites identical bytes; the checksum
-    is an order-insensitive hash of the file's (doc_id, _ab_lsn) pairs: the
-    exact sum of one uint64 per row, mod 2^63 − 1, so the checksums of the
-    files a partition's rows are split into add up to the same value."""
+    BASELINE.md "Segment I/O").
+
+    Each ``list<integer|floating>`` column is stored *packed*: a
+    ``large_binary`` column whose row holds that list's raw little-endian
+    values (a null list stays null), its field metadata naming the list
+    type, so Parquet encodes and decodes one BYTE_ARRAY instead of its
+    nested-list levels (about half the CPU; BASELINE.md "Packed token
+    lists").  The conversion is zero-copy, chunk by chunk: the offsets
+    times the value width, the values buffer as is.  A column whose lists
+    hold a null element keeps the list form, as does every column on a
+    big-endian host.  :func:`_read_segment` is the one reader; it reads
+    both forms, and the files written before, snappy with dictionary pages
+    or zstd in list form, read the same.  Footer statistics are written
+    for flat columns only (a sync reads its cursor's max from them): a
+    packed row's min and max would cost up to 4 KB each in every page
+    header, 3% more bytes in a 400-row delta file.
+
+    The path is deterministic, so a retried task rewrites identical bytes;
+    the checksum is an order-insensitive hash of the file's (doc_id,
+    _ab_lsn) pairs: the exact sum of one uint64 per row, mod 2^63 − 1, so
+    the checksums of the files a partition's rows are split into add up to
+    the same value."""
+    def pack(a: pa.Array) -> pa.Array:
+        v = a.values  # the whole child: offsets index it from its own offset
+        w = v.type.bit_width // 8
+        offsets = (a.offsets.to_numpy().astype(np.int64) + v.offset) * w
+        return pa.Array.from_buffers(pa.large_binary(), len(a), [
+            _validity(a), pa.py_buffer(offsets), v.buffers()[1] or pa.py_buffer(b"")],
+            a.null_count)
+
+    def null_element(a: pa.Array) -> bool:
+        lo, hi = a.offsets[0].as_py(), a.offsets[-1].as_py()
+        return a.values.slice(lo, hi - lo).null_count > 0
+
+    fields, cols, stats = list(seg.schema), seg.columns, []
+    for i, f in enumerate(fields):
+        if (sys.byteorder == "little" and _packable(f.type)
+                and not any(null_element(c) for c in cols[i].chunks)):
+            spec = pa.schema([pa.field(f.name, f.type)]).serialize().to_pybytes()
+            fields[i] = pa.field(f.name, pa.large_binary(), f.nullable,
+                                 {**(f.metadata or {}), _PACKED_KEY: spec})
+            cols[i] = pa.chunked_array([pack(c) for c in cols[i].chunks], pa.large_binary())
+        elif not pa.types.is_nested(f.type):
+            stats.append(f.name)
+    packed = pa.Table.from_arrays(cols, schema=pa.schema(fields, seg.schema.metadata))
     replace_atomically(os.path.join(lake_dir, rel), lambda tmp: pq.write_table(
-        seg, tmp, compression="zstd", use_dictionary=False))
+        packed, tmp, compression="zstd", use_dictionary=False, write_statistics=stats))
     v = stable_hash(seg["doc_id"]) + seg[LSN_COL].to_numpy().astype(np.uint64)
     hi, lo = (v >> np.uint64(32)).sum(), (v & np.uint64(2**32 - 1)).sum()  # no wrap below 2^32 rows
     checksum = (int(hi) * 2**32 + int(lo)) % (2**63 - 1)
     return {"part": part, "path": rel, "rows": seg.num_rows, "lsn_lo": lsn_lo,
             "lsn_hi": lsn_hi, "n_events": n_events, "checksum": checksum,
             "is_delta": is_delta}
+
+
+def _read_segment(path: str, seg_schema: pa.Schema) -> pa.Table:
+    """Read one segment file and conform it to ``seg_schema`` — the one
+    place segments are decoded.  A packed column (:func:`_write_segment`)
+    gets back the list type its field metadata names, zero-copy: the
+    offsets divided by the value width, the bytes buffer as the values.
+    That is the manifest's own type unless the lake's schema widened since
+    the file was written, which :func:`conform_table` then casts.  (A
+    big-endian host byte-swaps the values, one copy.)  A file
+    in list form reads as is, so lakes written before, and partitions whose
+    files mix both forms, read the same.  ``ParquetFile.read``, not
+    ``pq.read_table``, which sets up a one-file dataset per call."""
+    def unpack(a: pa.Array, typ: pa.DataType) -> pa.Array:
+        w = typ.value_type.bit_width // 8
+        offsets = np.frombuffer(a.buffers()[1], np.int64, len(a) + 1, a.offset * 8)
+        if (offsets % w).any():
+            raise ValueError(f"{path}: a packed list row is not whole {typ.value_type} values")
+        n, data = int(offsets[-1]) // w, a.buffers()[2] or pa.py_buffer(b"")
+        if sys.byteorder != "little":  # the stored values are little-endian
+            le = np.dtype(typ.value_type.to_pandas_dtype()).newbyteorder("<")
+            data = pa.py_buffer(np.frombuffer(data, le, n).astype(le.newbyteorder("=")))
+        values = pa.Array.from_buffers(typ.value_type, n, [None, data])
+        width = np.int32 if pa.types.is_list(typ) else np.int64
+        return pa.Array.from_buffers(typ, len(a), [
+            _validity(a), pa.py_buffer((offsets // w).astype(width))], a.null_count,
+            children=[values])
+
+    with pq.ParquetFile(path) as f:
+        t = f.read(use_threads=False)
+    fields, cols = list(t.schema), t.columns
+    for i, f in enumerate(fields):
+        meta = dict(f.metadata or {})
+        if spec := meta.pop(_PACKED_KEY, None):
+            typ = pa.ipc.read_schema(pa.py_buffer(spec)).field(0).type
+            fields[i] = pa.field(f.name, typ, f.nullable, meta or None)
+            cols[i] = pa.chunked_array([unpack(c, typ) for c in cols[i].chunks], typ)
+    return conform_table(pa.Table.from_arrays(cols, schema=pa.schema(fields)), seg_schema)
 
 
 def _remove_files(lake_dir: str, rels: list[str]) -> None:
@@ -376,7 +476,7 @@ def _bootstrap_batch(t: pa.Table, ctx: dict) -> pa.Table:
 
 
 def _one_task_rows() -> int:
-    """The largest window (footer row bound, or a Dataset's ``count()``)
+    """The largest window (footer row bound, or a Dataset's block rows)
     the planner runs as one task, the most rows a bootstrap task takes from
     the snapshot, and the most rows a range of :func:`_cut` holds (manifest
     rows of partitions, row bounds of shards, files or blocks, rows of
@@ -423,26 +523,44 @@ class _Target:
 @dataclass
 class _Blocks:
     """Dataset input in the shape the planner reads an :class:`EventLogScan`
-    in: a materialized Dataset's blocks stand for files (``files`` are block
-    indices, each bounded at an even share of ``rows``, its ``count()``)."""
+    in: a Dataset's blocks stand for files (``files`` are block indices,
+    ``file_rows`` each block's rows from its metadata)."""
 
     refs: list
-    schema: pa.Schema
-    rows: int
+    file_rows: list[int]
+    schema: pa.Schema | None
+
+    @classmethod
+    def of(cls, ds: ray.data.Dataset, schema: pa.Schema | None = None) -> _Blocks:
+        """``ds``'s block refs and rows, in one pass over its bundles: a
+        lazy Dataset runs once, streaming, and its blocks stay alive while
+        the refs do; a materialized one hands over its blocks.  Without a
+        ``schema``, the bundles' Arrow schemas, unified (None: no Arrow
+        block).  (``materialize()`` first would re-plan the finished
+        Dataset here, which at 1 CPU logged that no CPU was available.)"""
+        bundles = list(ds.iter_internal_ref_bundles())
+        if schema is None:
+            schemas = [b.schema for b in bundles if isinstance(b.schema, pa.Schema)]
+            schema = reduce(unify_schemas, schemas) if schemas else None
+        blocks = [b for bundle in bundles for b in bundle.blocks]
+        return cls([ref for ref, _ in blocks], [meta.num_rows for _, meta in blocks], schema)
 
     def __post_init__(self):
         self.files = list(range(len(self.refs)))
-        self.file_rows = [self.rows / max(len(self.refs), 1)] * len(self.refs)
+        self.rows = sum(self.file_rows)
 
     def table(self, blocks: list[int]) -> pa.Table:
-        parts = [conform_table(b, self.schema) for b in ray.get([self.refs[i] for i in blocks])]
+        """Blocks ``blocks`` as one table, each converted to Arrow here (a
+        pandas block too) and conformed to ``schema``."""
+        parts = [conform_table(BlockAccessor.for_block(b).to_arrow(), self.schema)
+                 for b in ray.get([self.refs[i] for i in blocks])]
         return pa.concat_tables(parts) if parts else self.schema.empty_table()
 
 
 def _route(t: pa.Table, targets: list[_Target]) -> pa.Table:
     """Keep each target's rows of one batch of the window, tag them with
     their ``part`` and target index ``tgt``, and sort them by (tgt, part)
-    (stably: a key's events keep the window's order)."""
+    (stably: a key's events keep the window's order; :func:`_by_key`)."""
     subs = []
     for i, tg in enumerate(targets):
         sub = t
@@ -453,7 +571,18 @@ def _route(t: pa.Table, targets: list[_Target]) -> pa.Table:
             sub = sub.filter(pc.equal(sub[col], name)).drop_columns([col])
         sub = sub.append_column("part", _part_of(sub["doc_id"], tg.num_partitions))
         subs.append(sub.append_column("tgt", pa.array(np.full(sub.num_rows, i, np.int64))))
-    return pa.concat_tables(subs).sort_by([("tgt", "ascending"), ("part", "ascending")])
+    return _by_key(pa.concat_tables(subs))
+
+
+def _by_key(t: pa.Table) -> pa.Table:
+    """Routed rows ``t`` stably sorted by (tgt, part), or ``t`` itself when
+    they already come in that order (an aligned shard's rows do): no
+    gather."""
+    tgt, prt = t["tgt"].to_numpy(), t["part"].to_numpy()
+    dt = np.diff(tgt)
+    if ((dt > 0) | ((dt == 0) & (np.diff(prt) >= 0))).all():
+        return t
+    return t.sort_by([("tgt", "ascending"), ("part", "ascending")])
 
 
 def _merge_routed(t: pa.Table, targets: list[_Target]) -> list[dict]:
@@ -506,8 +635,7 @@ def _route_range(scan: EventLogScan | _Blocks, targets: list[_Target], files: li
 def _merge_range(targets: list[_Target], *slices: pa.Table) -> list[dict]:
     """A merge task of the keyed exchange: one merge range's slices from
     every route task, in range order, through the merge body."""
-    t = pa.concat_tables(slices).sort_by([("tgt", "ascending"), ("part", "ascending")])
-    return _merge_routed(t, targets)
+    return _merge_routed(_by_key(pa.concat_tables(slices)), targets)
 
 
 @ray.remote
@@ -721,18 +849,20 @@ class LakeTable:
 
     def _apply_ds(self, events: ray.data.Dataset, already_filtered: bool = False,
                   delta: bool | None = None) -> dict:
-        """Apply change events given as a Dataset: it is materialized and
-        sized by its ``count()``, and its blocks take the plan a log window
-        of that many rows takes (:func:`_apply_targets`).  The route keeps
-        ``lsn > watermark`` unless ``already_filtered``.  Like every apply,
-        it writes in the lake's mode unless ``delta`` says."""
+        """Apply change events given as a Dataset: it runs once, its blocks
+        stand for files, sized by the rows their metadata records
+        (:class:`_Blocks`), and take the plan a log window of that many rows
+        takes (:func:`_apply_targets`).  The route keeps ``lsn >
+        watermark`` unless ``already_filtered``.  Like every apply, it
+        writes in the lake's mode unless ``delta`` says."""
         wm = self.manifest.watermark
-        events = events.materialize()
-        schema = events.schema()
-        if schema is None:  # empty input
+        blocks = _Blocks.of(events)
+        if blocks.schema is None:
+            if blocks.rows:  # pandas blocks name no Arrow types to merge under
+                raise ValueError("Dataset input has no Arrow blocks to take its schema from")
             return {"applied_events": 0, "partitions": 0, "watermark": wm, "sec": 0.0}
-        return self._apply(schema.base_schema, self.config.delta_mode if delta is None else delta,
-                           events, None if already_filtered else wm)
+        return self._apply(blocks.schema, self.config.delta_mode if delta is None else delta,
+                           blocks, None if already_filtered else wm)
 
     def _out_schema(self, ev_schema: pa.Schema) -> pa.Schema:
         """The unified output schema: lake schema ∪ incoming payload."""
@@ -779,7 +909,7 @@ class LakeTable:
         return max(m.watermark, m.runs[-1].get("run_id", -1) if m.runs else -1) + 1
 
     def _apply(self, ev_schema: pa.Schema, delta: bool,
-               source: EventLogScan | ray.data.Dataset, min_lsn: int | None,
+               source: EventLogScan | _Blocks | ray.data.Dataset, min_lsn: int | None,
                shards: dict[int, list[str]] | None = None) -> dict:
         """Apply one window to this lake as the one-target case of
         :func:`_apply_targets` (rows with ``lsn > min_lsn``), then commit
@@ -788,8 +918,7 @@ class LakeTable:
         out_schema, ctx = self._plan_ctx(ev_schema, delta)
         t0 = time.perf_counter()
         if isinstance(source, ray.data.Dataset):
-            source = source.materialize()
-            source = _Blocks(source.to_arrow_refs(), ev_schema, source.count())
+            source = _Blocks.of(source, ev_schema)
         (lineage,), plan, est = _apply_targets(
             source, [_Target(ctx, m.num_partitions, min_lsn)], shards)
         return self._commit(lineage, m.watermark, out_schema, time.perf_counter() - t0,

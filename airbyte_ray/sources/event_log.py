@@ -178,14 +178,17 @@ class EventLogScan:
         schema: each file reads only its row groups that meet the window
         (``ParquetFile.read_row_groups``, no dataset per file), masked to
         ``min_lsn < lsn <= max_lsn`` — a row group that straddles a bound,
-        or has no statistics, holds rows outside it."""
+        or has no statistics, holds rows outside it.  A file whose rows are
+        all inside is not filtered (no copy)."""
         def read(f: str) -> pa.Table:
             with pq.ParquetFile(f) as pf:
                 t = pf.read_row_groups(self.row_groups[f], use_threads=False)
             keep = pc.greater(t["lsn"], pa.scalar(self.min_lsn, pa.int64()))
             if self.max_lsn is not None:
                 keep = pc.and_(keep, pc.less_equal(t["lsn"], pa.scalar(self.max_lsn, pa.int64())))
-            return conform_table(t.filter(keep), self.schema)
+            if not pc.all(keep, skip_nulls=False, min_count=0).as_py():
+                t = t.filter(keep)
+            return conform_table(t, self.schema)
 
         parts = [read(f) for f in files if self.row_groups[f]]
         return pa.concat_tables(parts) if parts else self.schema.empty_table()

@@ -93,7 +93,7 @@ def test_run_record_names_plan(forced_plan, tmp_path, capsys):
     # a redelivered window commits nothing but still names its plan
     st = lake.apply_log(str(p), max_lsn=mid)
     assert (st["applied_events"], st["plan"]) == (0, forced_plan)
-    # Dataset input is sized by its count() and takes the same plan choice
+    # Dataset input is sized by its blocks' rows and takes the same plan choice
     st = lake._apply_ds(ray.data.from_arrow(ev), delta=True)
     assert (st["plan"], st["est_rows"]) == (forced_plan, ev.num_rows)
     run = Manifest.load(lake.lake_dir).runs[-1]
@@ -118,6 +118,39 @@ def test_dataset_input_matches_oracle(forced_plan, tmp_path):
             st = lake._apply_ds(ray.data.from_arrow(blocks))
             assert (st["plan"], st["applied_events"]) == (forced_plan, ev.num_rows)
         assert lake.to_table().equals(replay_oracle(base, [ev1, ev2]))
+
+
+def test_dataset_blocks_sized_by_their_rows(forced_plan, tmp_path):
+    """Dataset input's blocks are sized by the rows their metadata records,
+    however uneven, and a source of pandas blocks (converted in the task
+    that reads them), applied under the events' Arrow schema as
+    ``SyncEngine`` applies its source, gives the same rows as the same
+    events in Arrow blocks; both match ``replay_oracle``.  (The events
+    leave ``tokens`` out: Ray casts a pandas column of arrays with nulls to
+    a tensor type.)  ``_apply_ds``, which takes the schema from the blocks,
+    refuses pandas blocks."""
+    from airbyte_ray.oracle import replay_oracle
+
+    base = gen.gen_base(100, seed=13)
+    ev = gen.gen_events(555, 100, seed=14).drop_columns(["tokens"])
+    cuts = [(0, 5), (5, 50), (55, ev.num_rows - 55)]
+    arrow = ray.data.from_arrow([ev.slice(lo, n) for lo, n in cuts])
+    blocks = replay._Blocks.of(arrow, ev.schema)
+    assert (blocks.file_rows, blocks.rows) == ([n for _, n in cuts], ev.num_rows)
+    assert blocks.table(blocks.files).equals(ev)
+    pandas = ray.data.from_pandas([ev.slice(lo, n).to_pandas() for lo, n in cuts])
+    tables = []
+    for name, ds in (("arrow", arrow), ("pandas", pandas)):
+        lake = LakeTable(str(tmp_path / name), ReplayConfig(num_partitions=4))
+        lake.init_snapshot(ray.data.from_arrow(base))
+        st = lake._apply(ev.schema, False, ds, lake.manifest.watermark)
+        assert (st["plan"], st["est_rows"], st["applied_events"]) == \
+            (forced_plan, ev.num_rows, ev.num_rows)
+        tables.append(lake.to_table())
+    assert tables[0].equals(tables[1])
+    assert tables[0].equals(replay_oracle(base, [ev]))
+    with pytest.raises(ValueError, match="no Arrow blocks"):  # not an empty apply
+        lake._apply_ds(pandas)
 
 
 def test_sync_shared_run_record_names_plan(forced_plan, tmp_path):

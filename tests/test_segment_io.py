@@ -2,22 +2,32 @@
 older format, and the window read of the change log.
 
 * Every segment the lake lists — bootstrap, delta, full rewrite, fold,
-  ``compact()`` — is zstd with no dictionary page.
+  ``compact()`` — is zstd with no dictionary page, its ``tokens`` lists
+  packed into one BYTE_ARRAY column; a rerun into a fresh directory writes
+  the same bytes.
+* ``_write_segment`` → ``_read_segment`` returns its input for null,
+  empty, sliced and multi-chunk lists of every integer and float width;
+  lists holding a null element stay in list form.
 * A lake whose files were written with ``pq.write_table``'s defaults
-  (snappy + dictionary pages) keeps working: partitions that mix both
-  encodings resolve to the rows, checksums and row counts of a lake
-  written in the new format alone.
+  (snappy + dictionary pages, lists in list form) keeps working:
+  partitions that mix both encodings and both forms resolve to the rows,
+  checksums and row counts of a lake written in the new format alone.
 * The window task reads only the row groups the footer pass found meeting
   the lsn window and masks the bounds: it applies exactly the rows of a
   ``pq.read_table(f, filters=…)`` pushdown read, also when the window
-  starts and ends inside row groups and a row group has no statistics."""
+  starts and ends inside row groups and a row group has no statistics.
+  The router's sort and the window's mask leave rows already in order, or
+  all inside the window, as they are, and route the same rows as a sort
+  and a filter would."""
 
 import os
+import sys
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import pytest
 import ray.data
 
 from airbyte_ray import gen
@@ -37,6 +47,16 @@ def _chunks(path: str):
             for g in range(md.num_row_groups) for c in range(md.num_columns)]
 
 
+def _tokens_form(path: str) -> str:
+    """``packed`` when the file stores ``tokens`` as one BYTE_ARRAY column,
+    ``list`` when it stores its nested-list levels."""
+    leaves = {c.path_in_schema: c.physical_type for c in _chunks(path)}
+    if leaves.get("tokens") == "BYTE_ARRAY":
+        return "packed"
+    assert "tokens.list.element" in leaves or "tokens.list.item" in leaves, leaves
+    return "list"
+
+
 def _assert_segment_format(lake: LakeTable) -> None:
     for path in lake.segment_paths():
         for col in _chunks(path):
@@ -44,6 +64,15 @@ def _assert_segment_format(lake: LakeTable) -> None:
             assert col.compression == "ZSTD", where
             assert not col.has_dictionary_page, where
             assert not _DICT_ENCODINGS & set(col.encodings), where
+        assert _tokens_form(path) == "packed", path
+
+
+def _listed_bytes(lake: LakeTable) -> dict[str, bytes]:
+    out = {}
+    for path in lake.segment_paths():
+        with open(path, "rb") as f:
+            out[os.path.relpath(path, lake.lake_dir)] = f.read()
+    return out
 
 
 def _plan(windows: list[str]) -> list[tuple[str, str | None]]:
@@ -74,38 +103,124 @@ def _lake(path: str) -> LakeTable:
 
 def test_every_segment_is_zstd_without_dictionary(fixtures, tmp_path):
     """Bootstrap, delta, full rewrite, fold and ``compact()`` all write
-    zstd column chunks without a dictionary page, and the lake stays
+    zstd column chunks without a dictionary page, ``tokens`` packed into
+    one BYTE_ARRAY chunk; the same steps on a second lake in a fresh
+    directory write the same files, byte for byte; the lake stays
     oracle-exact."""
     base, events, _, lake_dir = fixtures
-    lake = _lake(lake_dir)
-    lake.init_snapshot(_snapshot(base))
+    lake, rerun = _lake(lake_dir), _lake(str(tmp_path / "rerun"))
+    for each in (lake, rerun):
+        each.init_snapshot(_snapshot(base))
     _assert_segment_format(lake)
+    assert _listed_bytes(lake) == _listed_bytes(rerun)
     for kind, window in _plan(_epochs(events, tmp_path, 6)):
-        _do(lake, kind, window)
+        for each in (lake, rerun):
+            _do(each, kind, window)
         _assert_segment_format(lake)
+        assert _listed_bytes(lake) == _listed_bytes(rerun), kind
     _assert_matches_oracle(lake, base, [events])
+
+
+_WIDTHS = [pa.int8(), pa.int16(), pa.int32(), pa.int64(), pa.uint8(), pa.uint16(),
+           pa.uint32(), pa.uint64(), pa.float16(), pa.float32(), pa.float64()]
+
+
+def _lists(value_type: pa.DataType) -> pa.ListArray:
+    """``[[0, 1], null, [], [2, 3, 4], [5, 6]]`` of ``value_type``, whose
+    values child starts one value into its buffer."""
+    values = pa.array(np.arange(-1, 7).astype(value_type.to_pandas_dtype()), value_type)
+    return pa.ListArray.from_arrays(pa.array([0, 2, 2, 2, 5, 7], pa.int32()), values.slice(1),
+                                    mask=pa.array([False, True, False, False, False]))
+
+
+def _round_trip(tmp_path, name: str, col) -> tuple[pa.Table, pa.Table]:
+    """``col`` as the ``v`` column of a segment written by
+    ``_write_segment`` and read back by ``_read_segment``: (written, read)."""
+    n = len(col)
+    seg = pa.table({"doc_id": pa.array([f"d{i}" for i in range(n)], pa.string()), "v": col,
+                    replay.LSN_COL: pa.array(np.arange(n), pa.int64())})
+    replay._write_segment(str(tmp_path), 0, name, seg)
+    return seg, replay._read_segment(str(tmp_path / name), seg.schema)
+
+
+@pytest.mark.parametrize("value_type", _WIDTHS, ids=str)
+def test_packed_lists_round_trip(tmp_path, value_type):
+    """Null lists, empty lists, a values child with an offset, sliced and
+    multi-chunk input, and ``large_list``: each is stored packed and reads
+    back equal to what was written."""
+    lists = _lists(value_type)
+    cases = {"whole": lists, "sliced": lists.slice(1, 3), "no rows": lists.slice(5),
+             "chunks": pa.chunked_array([lists.slice(0, 2), lists.slice(2, 0), lists.slice(2)]),
+             "large": lists.cast(pa.large_list(value_type)), "all null": pa.array(
+                 [None, None], pa.list_(value_type))}
+    for name, col in cases.items():
+        seg, back = _round_trip(tmp_path, f"{name}.parquet", col)
+        assert back.equals(seg), name
+        assert back.schema.field("v").type == seg.schema.field("v").type, name
+        assert {c.path_in_schema: c.physical_type
+                for c in _chunks(str(tmp_path / f"{name}.parquet"))}["v"] == "BYTE_ARRAY", name
+
+
+def test_list_with_null_element_keeps_list_form(tmp_path):
+    """A column whose lists hold a null element is written in list form
+    and reads back equal; a packed column reads back under a widened
+    schema as the cast of its rows."""
+    col = pa.array([[1, None], [2], None], pa.list_(pa.int32()))
+    seg, back = _round_trip(tmp_path, "null.parquet", col)
+    assert back.equals(seg)
+    assert "v.list.element" in {c.path_in_schema for c in _chunks(str(tmp_path / "null.parquet"))}
+
+    seg, _ = _round_trip(tmp_path, "packed.parquet", _lists(pa.int32()))
+    wide = pa.schema([f if f.name != "v" else pa.field("v", pa.list_(pa.int64()))
+                      for f in seg.schema])
+    back = replay._read_segment(str(tmp_path / "packed.parquet"), wide)
+    assert back.equals(conform_table(seg, wide))
+
+
+def test_big_endian_host_writes_list_form(tmp_path, monkeypatch):
+    """Under a big-endian ``sys.byteorder`` the writer keeps the list form,
+    and the reader still returns a packed file's rows."""
+    _round_trip(tmp_path, "packed.parquet", _lists(pa.int32()))
+    monkeypatch.setattr(sys, "byteorder", "big")
+    seg, back = _round_trip(tmp_path, "list.parquet", _lists(pa.int32()))
+    assert back.equals(seg)
+    assert "v.list.element" in {c.path_in_schema for c in _chunks(str(tmp_path / "list.parquet"))}
+    assert replay._read_segment(str(tmp_path / "packed.parquet"), seg.schema).equals(seg)
 
 
 def _write_old_format(lake: LakeTable, every: int = 1) -> int:
     """Rewrite every ``every``-th listed file (sorted by path) with
-    ``pq.write_table``'s defaults — snappy with dictionary pages — keeping
-    its rows.  Returns how many it rewrote."""
+    ``pq.write_table``'s defaults — snappy with dictionary pages, ``tokens``
+    in list form — keeping its rows (decoded by ``_read_segment``).
+    Returns how many it rewrote."""
+    seg_schema = replay._seg_schema_of(lake.manifest.schema)
+    deltas = {os.path.join(lake.lake_dir, p)
+              for e in lake.manifest.partitions.values() for p in e.delta_paths}
     paths = sorted(lake.segment_paths())[::every]
     for p in paths:
-        pq.write_table(pq.ParquetFile(p).read(), p)
+        schema = seg_schema.append(pa.field(replay.DELETED_COL, pa.bool_())) \
+            if p in deltas else seg_schema
+        pq.write_table(replay._read_segment(p, schema), p)
         assert {c.compression for c in _chunks(p)} == {"SNAPPY"}
         assert any(c.has_dictionary_page for c in _chunks(p))
+        assert _tokens_form(p) == "list"
     return len(paths)
+
+
+def _mixes_forms(lake: LakeTable) -> bool:
+    """Whether some partition lists files in both forms."""
+    return any(len({_tokens_form(os.path.join(lake.lake_dir, p)) for p in e.all_paths}) == 2
+               for e in lake.manifest.partitions.values())
 
 
 def test_old_format_lake_keeps_working(fixtures, tmp_path, monkeypatch):
     """A bootstrapped lake whose files are rewritten in the older format
-    (snappy + dictionary), and half of whose files are rewritten so again
-    after every step, goes through a delta apply, a full rewrite, a fold
-    and ``compact()``: after every step its rows equal those of the same
-    steps on a lake written in the new format alone, as do every
-    partition's ``rows`` and ``checksum``; at the end both equal the
-    oracle."""
+    (snappy + dictionary, lists in list form), and half of whose files are
+    rewritten so again after every step, goes through a delta apply, a full
+    rewrite, a fold and ``compact()``: after every step its rows equal those
+    of the same steps on a lake written in the new format alone, as do
+    every partition's ``rows`` and ``checksum``; at the end both equal the
+    oracle.  Some steps read a partition whose files mix both forms."""
     base, events, _, _ = fixtures
     windows = _epochs(events, tmp_path, 6)
     new, old = _lake(str(tmp_path / "new")), _lake(str(tmp_path / "old"))
@@ -114,6 +229,7 @@ def test_old_format_lake_keeps_working(fixtures, tmp_path, monkeypatch):
         for lake in (new, old):
             lake.init_snapshot(_snapshot(base))
     assert _write_old_format(old) > 4  # several base files per partition
+    mixed = []
 
     def same(kind: str) -> None:
         assert old.to_table(payload_only=False).equals(new.to_table(payload_only=False)), kind
@@ -121,12 +237,14 @@ def test_old_format_lake_keeps_working(fixtures, tmp_path, monkeypatch):
         assert {p: (e.rows, e.checksum) for p, e in mo.partitions.items()} == \
             {p: (e.rows, e.checksum) for p, e in mn.partitions.items()}, kind
         _write_old_format(old, every=2)  # the next step reads both encodings
+        mixed.append(_mixes_forms(old))
 
     same("bootstrap")
     for kind, window in _plan(windows):
         for lake in (new, old):
             _do(lake, kind, window)
         same(kind)
+    assert any(mixed)
     _assert_matches_oracle(old, base, [events])
 
 
@@ -245,3 +363,49 @@ def test_window_read_matches_pushdown_read_shard(monkeypatch, tmp_path):
         _, ctx = lake._plan_ctx(scan.schema, False)
         target = replay._Target(ctx, P, None)
         assert _applied_rows(monkeypatch, scan, [target], files, 0).equals(expected)
+
+
+def _route_by_sort(t: pa.Table, targets) -> pa.Table:
+    """The router with an unconditional stable sort by (tgt, part)."""
+    subs = []
+    for i, tg in enumerate(targets):
+        sub = t.filter(pc.greater(t["lsn"], tg.min_lsn)) if tg.min_lsn is not None else t
+        sub = sub.append_column("part", replay._part_of(sub["doc_id"], tg.num_partitions))
+        subs.append(sub.append_column("tgt", pa.array(np.full(sub.num_rows, i, np.int64))))
+    return pa.concat_tables(subs).sort_by([("tgt", "ascending"), ("part", "ascending")])
+
+
+def test_route_sorts_only_out_of_order_rows():
+    """Routed rows equal those of an unconditional stable sort for input in
+    (tgt, part) order, out of it, and for two targets whose lsn filters cut
+    into the window; input already in order comes back without a gather."""
+    ev = gen.gen_events(600, 120, seed=71)
+    one, two = replay._Target({}, 4, None), replay._Target({}, 3, int(ev["lsn"][300].as_py()))
+    part = replay._part_of(ev["doc_id"], 4).to_numpy()
+    in_order = ev.take(pa.array(np.argsort(part, kind="stable")))
+    for t, targets in [(in_order, [one]), (ev, [one]), (in_order, [one, two]), (ev, [two, one]),
+                       (ev.slice(0, 0), [one])]:
+        assert replay._route(t, targets).equals(_route_by_sort(t, targets))
+    routed = replay._route(in_order, [one])
+    assert replay._by_key(routed) is routed
+
+
+def test_window_mask_filters_only_when_rows_fall_outside(tmp_path):
+    """``EventLogScan.table`` returns the rows a filter by the lsn bounds
+    keeps, for a window holding every row of the file (nothing to mask), a
+    window whose bounds straddle row groups, and a file whose rows are not
+    in lsn order."""
+    events = gen.gen_events(900, 150, seed=72).sort_by("lsn")
+    shuffled = events.take(pa.array(np.random.default_rng(72).permutation(events.num_rows)))
+    for name, t in [("sorted", events), ("shuffled", shuffled)]:
+        f = str(tmp_path / f"{name}.parquet")
+        pq.write_table(t, f, row_group_size=200)
+        lsn = np.sort(t["lsn"].to_numpy())
+        for lo, hi in [(-1, None), (int(lsn[0]) - 1, int(lsn[-1])),
+                       (int(lsn[130]), int(lsn[700]))]:
+            scan = scan_event_log([f], min_lsn=lo, max_lsn=hi)
+            keep = pc.greater(t["lsn"], lo)
+            if hi is not None:
+                keep = pc.and_(keep, pc.less_equal(t["lsn"], hi))
+            assert scan.table([f]).equals(conform_table(t.filter(keep), scan.schema)), \
+                (name, lo, hi)

@@ -28,6 +28,11 @@ It prints one line per difference and exits 1 if there is any.  A
 reported as such: a build from a tree whose segment checksum still wrapped
 mod 2^64 (so it depended on how a partition's rows were split into files)
 differs from a later one in every stored checksum, not in what was written.
+A listed file whose bytes differ is decoded on both sides by the
+``_read_segment`` of the tree this script is in, under its lake's manifest
+schema, and reported "(same rows)" when the rows are equal: a build from a
+tree that wrote ``tokens`` in list form differs from a later one, which
+packs it, in the bytes of every file, not in its rows.
 
 To compare a change with its parent, build each tree into its own ``OUT``
 (e.g. ``git archive`` the parent into a scratch dir and pass it as
@@ -284,6 +289,26 @@ def _read(path: str) -> bytes | None:
         return None
 
 
+def _segment_rows(lake_dir: str, m: dict, rel: str):
+    """Listed file ``rel`` of the lake at ``lake_dir`` (manifest ``m``)
+    decoded by ``_read_segment`` under the manifest's schema, with the
+    tombstone flag for a delta file; None when it cannot be decoded."""
+    import base64
+
+    import pyarrow as pa
+
+    from airbyte_ray.pipelines import replay
+
+    schema = replay._seg_schema_of(
+        pa.ipc.read_schema(pa.py_buffer(base64.b64decode(m["schema_b64"]))))
+    if any(rel in e.get("delta_paths", []) for e in m["partitions"].values()):
+        schema = schema.append(pa.field(replay.DELETED_COL, pa.bool_()))
+    try:
+        return replay._read_segment(os.path.join(lake_dir, rel), schema)
+    except (OSError, ValueError, pa.ArrowException):  # a damaged file
+        return None
+
+
 def diff(a: str, b: str) -> list[str]:
     """The differences between builds ``a`` and ``b``, one line each."""
     import pyarrow as pa
@@ -304,7 +329,9 @@ def diff(a: str, b: str) -> list[str]:
                        f"({sorted(set(fa) ^ set(fb))[:4]} ...)")
         for rel in sorted(set(fa) & set(fb)):
             if _read(os.path.join(la[name], rel)) != _read(os.path.join(lb[name], rel)):
-                out.append(f"{name}: bytes of {rel} differ")
+                ra, rb = _segment_rows(la[name], ma, rel), _segment_rows(lb[name], mb, rel)
+                same = ra is not None and rb is not None and ra.equals(rb)
+                out.append(f"{name}: bytes of {rel} differ" + (" (same rows)" if same else ""))
         for kind in ("table", "read"):
             ta, tb = (pa.ipc.open_file(os.path.join(d, f"{kind}.arrow")).read_all()
                       for d in (la[name], lb[name]))
@@ -328,6 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     d.add_argument("b")
     args = ap.parse_args(argv)
     if args.cmd == "diff":
+        sys.path.insert(0, HERE)  # decode files with this tree's _read_segment
         lines = diff(args.a, args.b)
         print("\n".join(lines) if lines else "identical")
         print(f"{len(_lakes(args.a))} lakes compared, {len(lines)} differences",
