@@ -8,7 +8,7 @@ for the keyed merge.  See SURVEY.md for the operator inventory and the
 mapping from reference semantics (file:line cites) to this engine.
 
 Nothing here calls ``ray.init()`` — sessions are owned by the caller
-(bench.py, pytest fixture, or the evaluation driver).
+(perfbench, pytest fixture, or the evaluation driver).
 """
 
 __version__ = "0.1.0"

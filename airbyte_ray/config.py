@@ -27,17 +27,12 @@ def cluster_cpus() -> float:
 #: Ray reuses worker PROCESSES across tasks, so module state built lazily
 #: inside a task survives to the next task on that worker — the same
 #: "setup once, use per batch" economics as an actor pool, without the
-#: pool's costs.  Measured on this host: spinning a fresh
-#: ``concurrency=(1, 32)`` MinHasher pool costs 4-10 s of actor startup
-#: per dataset execution at sf0.1 (5 k docs), >5x the actual signature
-#: compute, and a pool's CPU reservation can starve a downstream shuffle
-#: outright on small clusters (observed deadlock at 4 CPUs: pools + read
-#: held every slot while the groupby's map tasks pended forever).  Stages
-#: whose state is an expensive load (a model, a big index) still belong on
-#: actor pools — pass an explicit ``concurrency`` to the operators that
-#: accept one; stages whose state is a cheap pure function of parameters
-#: (seeded permutations, hyperplanes, stopword tables) run as tasks with
-#: this per-process cache.
+#: pool's actor startup per dataset execution or its standing CPU
+#: reservation.  Stages whose state is an expensive load (a model, a big
+#: index) still belong on actor pools — pass an explicit ``concurrency`` to
+#: the operators that accept one; stages whose state is a cheap pure
+#: function of parameters (seeded permutations, hyperplanes, stopword
+#: tables) run as tasks with this per-process cache.
 _WORKER_STATE: dict = {}
 #: LRU bound: several cache keys embed per-execution ObjectRef hexes
 #: (broadcast pair tables, bloom bits, query matrices), so a reused worker

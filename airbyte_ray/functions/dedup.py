@@ -5,20 +5,23 @@ Scale shape (the part that matters at 100 TB):
 * **exact**: md5 fingerprint per batch (vectorized) → ``groupby(fp)`` keeps
   one row per group — one shuffle keyed by a 16-byte hash; skew-free by
   construction (hashes are uniform).
-* **MinHash+LSH**: signatures are computed in a *stateful actor pool*
-  (permutation params built once per actor), exploded to
-  ``(band, band_hash, doc_id, sig)`` rows, and bucketed with ONE
-  ``groupby(band_hash)`` — the classic shingle→minhash→band→bucket plan.
-  Candidate pairs are verified inside the bucket group from the carried
-  signatures (no second pass over the corpus).
+* **near duplicates** (MinHash+LSH, SimHash, embedding cosine): one Ray
+  Data pass keys each row by its LSH buckets (signature bands, simhash
+  bands, hyperplane keys; signatures come from a task stage with
+  per-worker-process hasher state), then ONE engine
+  (:func:`_near_dup_pairs`) runs route → pair → pair-dedup as plain tasks
+  over bucket ranges (:mod:`airbyte_ray.exchange`).  Candidate pairs are
+  verified inside each bucket from the carried signatures or vectors (no
+  second pass over the corpus).
 * **components**: distributed min-label propagation over the pair graph
   (:func:`connected_components_ds`) — the pair set never lands on the
   driver; each round is two groupby exchanges over edges only.  The small
   driver union-find (:func:`connected_components`) remains for tests.
-* **hot buckets never silently drop** (round-1 fix): oversized buckets
-  collapse identical-signature rows into star edges around a min-id
-  representative and recurse on the distinct signatures; the emitted edge
-  set is a connected-components-equivalent cover.
+* **hot buckets never silently drop** (round-1 fix): one recursion serves
+  the three metrics (:func:`_hot_bucket`) — oversized buckets collapse
+  identical rows into star edges around a min-id representative and
+  subdivide the distinct ones; the emitted edge set is a
+  connected-components-equivalent cover.
 
 The final filter broadcasts the drop-set (``ray.put``) and applies it as a
 vectorized ``is_in`` mask inside ``map_batches`` — no join shuffle.
@@ -26,6 +29,7 @@ vectorized ``is_in`` mask inside ``map_batches`` — no join shuffle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -36,7 +40,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..config import _worker_state
+from ..config import _worker_state, cluster_cpus
+from ..exchange import fan, returns, split
 from .text import fingerprint_md5
 
 # ---------------------------------------------------------------------------
@@ -94,6 +99,181 @@ def _simhash_batch(t: pa.Table, col: str) -> pa.Table:
 
 
 # ---------------------------------------------------------------------------
+# the near-duplicate engine (MinHash, SimHash, embedding cosine)
+# ---------------------------------------------------------------------------
+
+_BUCKET_CAP = 2000  # max rows brute-force-verified within one bucket
+_SCORE_CHUNK = 1 << 22  # row-pair values gathered per vectorized scoring pass
+
+
+@dataclass(frozen=True)
+class _Metric:
+    """What one near-duplicate operator supplies to :func:`_near_dup_pairs`."""
+
+    col: str  # the output's score column
+    type: pa.DataType  # its type
+    rows: Callable  # keyed rows → each row's values (a vector or a matrix)
+    score: Callable  # (x, i, j) → the score of each row pair (x[i], x[j])
+    keep: Callable  # scores → which pairs verify
+    sub: Callable  # (x, depth) → each row's subdivision key at that depth
+    depth: int  # subdivision levels before the star pass
+    same: Callable | None = None  # x → identical-row key, if the metric has one
+
+
+def _near_dup_pairs(keyed: ray.data.Dataset, id_col: str, cap: int,
+                    m: _Metric) -> ray.data.Dataset:
+    """The verified pairs (a < b, ``m.col``) of rows that share an LSH
+    bucket: ``keyed`` holds one row per (row, bucket) — ``band_key``, the
+    id, and the columns ``m.rows`` reads.
+
+    ``keyed`` runs once, to its blocks (one pass over its ref bundles; a
+    ``materialize()`` first would re-plan the finished Dataset, which at 1
+    CPU logs that no CPU is available), then one plan of plain tasks
+    (:mod:`airbyte_ray.exchange`) over about one range per CPU:
+
+    1. route — one task per non-empty block: its rows by range of bucket
+       shard (a hash of ``band_key``);
+    2. pair — one task per bucket range: its buckets in key order,
+       singletons dropped without a Python loop, every shared bucket's
+       verified pairs (:func:`_bucket_pairs`), by range of a's hash;
+    3. dedup — one task per range of ``a``: each (a, b) once — a pair
+       surfaces from several bands — with its highest score, sorted by
+       (a, b), so a rerun returns the same rows."""
+    bundles = list(keyed.iter_internal_ref_bundles())
+    blocks = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows]
+    id_type = next((b.schema.field(id_col).type for b in bundles
+                    if isinstance(b.schema, pa.Schema) and id_col in b.schema.names), pa.int64())
+    if not blocks:
+        return ray.data.from_arrow(_pair_table([], id_type, m))
+    k = max(1, int(cluster_cpus()))
+    routed = [fan(_route_buckets, k, b, k) for b in blocks]
+    paired = [fan(_pair_range, k, id_col, id_type, cap, m, k, *[r[j] for r in routed])
+              for j in range(k)]
+    return ray.data.from_arrow_refs(
+        [_dedup_range.remote(m.col, *[p[j] for p in paired]) for j in range(k)])
+
+
+@ray.remote
+def _route_buckets(t: pa.Table, k: int) -> pa.Table | list[pa.Table]:
+    """Route one block of keyed rows: one slice per bucket shard."""
+    shard = pd.util.hash_array(t["band_key"].to_numpy()) % np.uint64(k)
+    return returns(split(t, shard, list(range(k))))
+
+
+@ray.remote
+def _pair_range(id_col: str, id_type: pa.DataType, cap: int, m: _Metric, k: int,
+                *slices: pa.Table) -> pa.Table | list[pa.Table]:
+    """Pair one bucket range: the verified pairs of its shared buckets, one
+    slice per shard of a's hash."""
+    t = pa.concat_tables(slices)
+    _, inv, cnt = np.unique(t["band_key"].to_numpy(), return_inverse=True, return_counts=True)
+    t = t.filter(pa.array(cnt[inv] > 1))  # a singleton bucket holds no pair
+    parts = _bucket_pairs(t[id_col].to_numpy(zero_copy_only=False), m.rows(t),
+                          t["band_key"].to_numpy(), m, cap, 0) if t.num_rows else []
+    pairs = _pair_table(parts, id_type, m)
+    shard = pd.util.hash_array(pairs["a"].to_numpy(zero_copy_only=False)) % np.uint64(k)
+    return returns(split(pairs, shard, list(range(k))))
+
+
+@ray.remote
+def _dedup_range(col: str, *slices: pa.Table) -> pa.Table:
+    """Dedup one range of a: each (a, b) once, with its highest score."""
+    t = pa.concat_tables(slices).group_by(["a", "b"]).aggregate([(col, "max")])
+    return t.rename_columns(["a", "b", col]).sort_by([("a", "ascending"), ("b", "ascending")])
+
+
+def _pair_table(parts: list[tuple], id_type: pa.DataType, m: _Metric) -> pa.Table:
+    """One table of ``parts``' (a, b, score) arrays."""
+    a, b, s = [np.concatenate(c) for c in zip(*parts)] if parts else ([], [], [])
+    return pa.table({"a": pa.array(a, id_type), "b": pa.array(b, id_type),
+                     m.col: pa.array(s).cast(m.type)})
+
+
+def _bucket_pairs(ids: np.ndarray, x: np.ndarray, key: np.ndarray, m: _Metric,
+                  cap: int, depth: int) -> list[tuple]:
+    """The verified pairs of rows that share a ``key`` (the LSH bucket, or
+    at ``depth`` > 0 a subdivision of a hot one), as (a, b, score) arrays.
+
+    Buckets of at most ``cap`` rows are verified pair by pair, all of them
+    in one vectorized pass.  A hotter bucket never drops rows
+    (:func:`_hot_bucket`)."""
+    order = np.argsort(key, kind="stable")
+    ids, x, key = ids[order], x[order], key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[starts, len(key)])
+    small, hot = (sizes > 1) & (sizes <= cap), sizes > cap
+    out = [_verified(ids, x, *_run_pairs(starts[small], sizes[small]), m)]
+    for s, n in zip(starts[hot], sizes[hot]):
+        out += _hot_bucket(ids[s:s + n], x[s:s + n], m, cap, depth)
+    return out
+
+
+def _hot_bucket(ids: np.ndarray, x: np.ndarray, m: _Metric, cap: int,
+                depth: int) -> list[tuple]:
+    """Verified pairs within one bucket of more than ``cap`` rows, with no
+    silent drops (the round-1 recall bug):
+
+    1. rows that share an identical-row key (``m.same``) collapse to star
+       edges around their min-id row, and only those representatives go
+       on — verified pair by pair once at most ``cap`` of them are left;
+    2. else the rows subdivide by ``m.sub`` at this depth, one level
+       deeper; a split that makes no progress goes on to the next depth's
+       key (SimHash's depth-0 key is band 1, which every hot band-1 bucket
+       shares);
+    3. at ``m.depth`` every row is verified against the min-id row (an
+       O(n) star pass): degraded recall, never a silent empty result.
+
+    The output is a connected-components-equivalent edge cover: members of
+    an identical group connect through their representative."""
+    out = []
+    if m.same is not None:
+        ids, x, star = _collapse(ids, x, m)
+        out.append(star)
+        if len(ids) <= cap:
+            return out + [_verified(ids, x, *np.triu_indices(len(ids), 1), m)]
+    if depth < m.depth:
+        return out + _bucket_pairs(ids, x, m.sub(x, depth), m, cap, depth + 1)
+    rep = int(np.argmin(ids))
+    others = np.delete(np.arange(len(ids)), rep)
+    return out + [_verified(ids, x, np.full(len(others), rep), others, m)]
+
+
+def _collapse(ids: np.ndarray, x: np.ndarray, m: _Metric) -> tuple:
+    """Rows of one identical-row key as star edges around their min-id row:
+    each group's min-id row (ids, x), then the edges."""
+    key = m.same(x)
+    order = np.argsort(ids, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]  # by key, then id
+    ids, x, key = ids[order], x[order], key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    rep = np.repeat(starts, np.diff(np.r_[starts, len(key)]))
+    other = np.flatnonzero(rep != np.arange(len(key)))
+    return ids[starts], x[starts], _verified(ids, x, rep[other], other, m)
+
+
+def _run_pairs(starts: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Every row pair (i < j) within each run of rows (``starts``, ``sizes``)."""
+    first = np.repeat(starts, sizes)
+    row = first + np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cnt = first + np.repeat(sizes, sizes) - 1 - row  # rows after it in its run
+    i = np.repeat(row, cnt)
+    return i, i + 1 + np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+
+
+def _verified(ids: np.ndarray, x: np.ndarray, i: np.ndarray, j: np.ndarray,
+              m: _Metric) -> tuple:
+    """The row pairs (i, j) that verify, as (a, b, score) with a ≤ b.  Pairs
+    are scored in passes of ``_SCORE_CHUNK`` gathered values, so a hot
+    bucket's temporaries stay bounded whatever the row width."""
+    step = max(1, _SCORE_CHUNK // max(1, x[:1].size))
+    s = np.concatenate([m.score(x, i[lo:lo + step], j[lo:lo + step])
+                        for lo in range(0, max(len(i), 1), step)])
+    ok = m.keep(s)
+    a, b = ids[i[ok]], ids[j[ok]]
+    return np.minimum(a, b), np.maximum(a, b), s[ok]
+
+
+# ---------------------------------------------------------------------------
 # MinHash + LSH
 # ---------------------------------------------------------------------------
 
@@ -128,9 +308,10 @@ def _shingle_hashes(text: str, k: int) -> np.ndarray:
 
 
 class MinHasher:
-    """Actor-pool stage: append a ``sig`` (list<uint64> as int64) MinHash
-    signature column.  Permutation parameters are generated ONCE per actor in
-    ``__init__`` (seeded — identical across actors/runs)."""
+    """Append a ``sig`` (list<uint64> as int64) MinHash signature column.
+    Permutation parameters are generated ONCE per instance in ``__init__``
+    (seeded — identical across workers/runs); :func:`_minhash_batch` keeps
+    one instance per worker process."""
 
     def __init__(self, col: str, num_perm: int = 64, shingle_k: int = 5, seed: int = 97):
         rng = np.random.default_rng(seed)
@@ -231,9 +412,6 @@ def _band_rows(t: pa.Table, id_col: str, num_perm: int, bands: int) -> pa.Table:
     return pa.concat_tables(rows)
 
 
-_BUCKET_CAP = 2000  # max rows brute-force-verified within one bucket
-
-
 def _sig_row_hash(sigs: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
     """FNV hash of each signature row (optionally a column subset)."""
     m = sigs if cols is None else sigs[:, cols]
@@ -244,114 +422,6 @@ def _sig_row_hash(sigs: np.ndarray, cols: np.ndarray | None = None) -> np.ndarra
     return h
 
 
-def _brute_sig_pairs(ids, sigs, threshold):
-    ii, jj = np.triu_indices(len(ids), 1)
-    est = (sigs[ii] == sigs[jj]).mean(axis=1)
-    keep = est >= threshold
-    a, b = ids[ii[keep]], ids[jj[keep]]
-    swap = a > b
-    return np.where(swap, b, a), np.where(swap, a, b), est[keep]
-
-
-def _sig_pairs_rec(ids, sigs, threshold, cap, depth=0):
-    """Verified duplicate pairs within one (possibly hot) LSH bucket.
-
-    ≤ cap rows: exact O(n²) signature verification.  Hot buckets NEVER drop
-    rows (the round-1 silent-recall bug): rows with fully identical
-    signatures are collapsed to star edges (est=1.0 — exactly what the
-    verifier would emit) around a min-id representative, and the distinct
-    representatives recurse; if distinct signatures still exceed the cap,
-    the bucket is subdivided by a rotating signature-column block (recall
-    degrades gracefully and only for pairs that disagree on that block,
-    which at est ≥ threshold is exponentially unlikely).  Output is a
-    connected-components-equivalent edge cover: members of an identical-sig
-    group connect through their representative rather than pairwise."""
-    out_a, out_b, out_e = [], [], []
-    n = len(ids)
-    if n < 2:
-        return out_a, out_b, out_e
-    if n <= cap:
-        a, b, e = _brute_sig_pairs(ids, sigs, threshold)
-        return [a], [b], [e]
-    num_perm = sigs.shape[1]
-    full = _sig_row_hash(sigs)
-    order = np.argsort(full, kind="stable")
-    ids_s, sigs_s, full_s = ids[order], sigs[order], full[order]
-    starts = np.flatnonzero(np.r_[True, full_s[1:] != full_s[:-1]])
-    ends = np.r_[starts[1:], n]
-    rep_idx = []
-    for s, e_ in zip(starts, ends):
-        grp_ids = ids_s[s:e_]
-        rep = s + int(np.argmin(grp_ids))
-        rep_idx.append(rep)
-        if e_ - s > 1:  # identical signatures → star edges, est exactly 1.0
-            others = np.concatenate([grp_ids[: rep - s], grp_ids[rep - s + 1 :]])
-            ra = np.minimum(grp_ids[rep - s], others)
-            rb = np.maximum(grp_ids[rep - s], others)
-            out_a.append(ra)
-            out_b.append(rb)
-            out_e.append(np.ones(len(others)))
-    rep_idx = np.array(rep_idx)
-    rids, rsigs = ids_s[rep_idx], sigs_s[rep_idx]
-    if len(rids) <= cap:
-        a, b, e = _brute_sig_pairs(rids, rsigs, threshold)
-        out_a.append(a); out_b.append(b); out_e.append(e)
-    elif depth < 8:  # subdivide by a rotating signature-column block
-        cols = (depth * 7919 + np.arange(max(2, num_perm // 8))) % num_perm
-        sub = _sig_row_hash(rsigs, cols)
-        sorder = np.argsort(sub, kind="stable")
-        rids, rsigs, sub_s = rids[sorder], rsigs[sorder], sub[sorder]
-        bstarts = np.flatnonzero(np.r_[True, sub_s[1:] != sub_s[:-1]])
-        bends = np.r_[bstarts[1:], len(rids)]
-        if len(bstarts) == 1:  # no progress: go straight to the star pass
-            sa, sb, se = _sig_pairs_rec(rids, rsigs, threshold, cap, 8)
-            out_a += sa; out_b += sb; out_e += se
-        else:
-            for s, e_ in zip(bstarts, bends):
-                sa, sb, se = _sig_pairs_rec(rids[s:e_], rsigs[s:e_], threshold, cap, depth + 1)
-                out_a += sa; out_b += sb; out_e += se
-    else:
-        # depth exhausted with >cap distinct signatures: verify every
-        # representative against the min-id rep (O(n·perm) star pass) so the
-        # mutually-similar core still connects — degraded recall, NEVER a
-        # silent empty result (review finding)
-        rep = int(np.argmin(rids))
-        est = (rsigs == rsigs[rep]).mean(axis=1)
-        keep = (est >= threshold) & (np.arange(len(rids)) != rep)
-        others = rids[keep]
-        out_a.append(np.minimum(rids[rep], others))
-        out_b.append(np.maximum(rids[rep], others))
-        out_e.append(est[keep])
-    return out_a, out_b, out_e
-
-
-def _bucket_pairs(
-    g: pa.Table, id_col: str, num_perm: int, threshold: float, cap: int = _BUCKET_CAP
-) -> pa.Table:
-    """Candidate pairs within one LSH bucket, verified by signature
-    agreement (unbiased Jaccard estimate).  Hot buckets are handled without
-    silent drops — see :func:`_sig_pairs_rec`."""
-    n = g.num_rows
-    empty = pa.table(
-        {"a": pa.array([], g[id_col].type), "b": pa.array([], g[id_col].type),
-         "est_jaccard": pa.array([], pa.float64())}
-    )
-    if n < 2:
-        return empty
-    ids = g[id_col].to_numpy(zero_copy_only=False)
-    sigs = np.asarray(g["sig"].combine_chunks().flatten()).reshape(n, num_perm)
-    aa, bb, ee = _sig_pairs_rec(ids, sigs, threshold, cap)
-    if not aa:
-        return empty
-    a = np.concatenate(aa)
-    if len(a) == 0:
-        return empty
-    return pa.table(
-        {"a": pa.array(a), "b": pa.array(np.concatenate(bb)),
-         "est_jaccard": pa.array(np.concatenate(ee).astype(np.float64))}
-    )
-
-
 def lsh_candidates(
     ds: ray.data.Dataset,
     text_col: str,
@@ -360,50 +430,37 @@ def lsh_candidates(
     bands: int = 16,
     shingle_k: int = 5,
     threshold: float = 0.7,
-    concurrency: int | tuple | None = None,
     bucket_cap: int = _BUCKET_CAP,
-    dedup_pairs: bool = True,
 ) -> ray.data.Dataset:
-    """shingle → minhash → band-explode → bucket groupby → verified
-    candidate duplicate pairs (a < b, est_jaccard ≥ threshold).
-    ``dedup_pairs=False`` skips the final pair-dedup exchange — connected
-    components tolerate duplicate edges, so the dedup flow saves a
-    groupby.
+    """shingle → minhash → band-explode → the near-duplicate engine
+    (:func:`_near_dup_pairs`): verified candidate duplicate pairs, each
+    once (a < b, est_jaccard ≥ threshold).
 
     The signature stage runs as TASKS with per-worker-process cached
-    hasher state (see ``_WORKER_STATE``); pass ``concurrency`` explicitly
-    to force an actor pool instead (the right shape when the stage state
-    is expensive to build)."""
-    sel = ds.select_columns([id_col, text_col])
-    if concurrency is not None:
-        sigged = sel.map_batches(
-            MinHasher,
-            fn_constructor_args=(text_col, num_perm, shingle_k),
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
-    else:
-        sigged = sel.map_batches(
-            partial(_minhash_batch, col=text_col, num_perm=num_perm, shingle_k=shingle_k),
-            batch_format="pyarrow",
-        )
-    exploded = sigged.map_batches(
+    hasher state (see ``_WORKER_STATE``)."""
+    keyed = ds.select_columns([id_col, text_col]).map_batches(
+        partial(_minhash_batch, col=text_col, num_perm=num_perm, shingle_k=shingle_k),
+        batch_format="pyarrow",
+    ).map_batches(
         lambda t: _band_rows(t.drop_columns([text_col]), id_col, num_perm, bands),
         batch_format="pyarrow",
     )
-    pairs = exploded.groupby("band_key").map_groups(
-        lambda g: _bucket_pairs(g, id_col, num_perm, threshold, cap=bucket_cap),
-        batch_format="pyarrow",
+    return _near_dup_pairs(keyed, id_col, bucket_cap, _minhash_metric(num_perm, threshold))
+
+
+def _minhash_metric(num_perm: int, threshold: float) -> _Metric:
+    """MinHash's metric: the signature-agreement estimate of Jaccard; hot
+    buckets subdivide by a rotating block of signature columns, up to 8
+    levels; identical signatures collapse to star edges (est exactly 1.0)."""
+    return _Metric(
+        "est_jaccard", pa.float64(),
+        rows=lambda t: np.asarray(t["sig"].combine_chunks().flatten()).reshape(t.num_rows, num_perm),
+        score=lambda x, i, j: (x[i] == x[j]).mean(axis=1),
+        keep=lambda s: s >= threshold,
+        sub=lambda x, d: _sig_row_hash(x, (d * 7919 + np.arange(max(2, num_perm // 8))) % num_perm),
+        depth=8,
+        same=_sig_row_hash,
     )
-
-    if not dedup_pairs:
-        return pairs
-
-    # the same pair can surface from several bands — dedup pairs
-    def pair_first(g: pa.Table) -> pa.Table:
-        return g.slice(0, 1)
-
-    return pairs.groupby(["a", "b"]).map_groups(pair_first, batch_format="pyarrow")
 
 
 def connected_components(pairs: list[dict] | pa.Table) -> dict:
@@ -525,9 +582,18 @@ def minhash_dedup(
     the number of duplicate docs — is collected and broadcast (``ray.put``),
     applied as a vectorized mask.  (At extreme dup rates, swap the broadcast
     filter for a hash-bucketed anti-join on id.)"""
-    pairs = lsh_candidates(ds, text_col, id_col, dedup_pairs=False, **lsh_kwargs).materialize()
+    return _drop_components(ds, id_col, lsh_candidates(ds, text_col, id_col, **lsh_kwargs),
+                            driver_cc_max_pairs)
+
+
+def _drop_components(ds: ray.data.Dataset, id_col: str, pairs: ray.data.Dataset,
+                     driver_cc_max_pairs: int) -> ray.data.Dataset:
+    """``ds`` without the rows whose id is a non-min member of a component
+    of ``pairs``' (a, b) edges — the tail :func:`minhash_dedup` and
+    :func:`ngram_jaccard_dedup` share."""
+    pairs = pairs.materialize()
     if pairs.count() <= driver_cc_max_pairs:
-        comp = connected_components(pairs.take_all())
+        comp = connected_components(pairs.select_columns(["a", "b"]).take_all())
         drop = {k for k, v in comp.items() if v != k}
     else:
         cc = connected_components_ds(pairs)
@@ -557,7 +623,7 @@ def minhash_dedup(
 
 
 class SimHasher:
-    """64-bit SimHash over word tokens (actor-pool stage): sum of ±1 bit
+    """64-bit SimHash over word tokens: sum of ±1 bit
     votes of stable token hashes, weighted by term frequency."""
 
     def __init__(self, col: str, out: str = "simhash"):
@@ -615,14 +681,15 @@ def simhash_near_dups(
     ds: ray.data.Dataset, text_col: str, id_col: str, max_hamming: int = 3
 ) -> ray.data.Dataset:
     """Near-dup pairs by SimHash: band the 64-bit hash into 4×16-bit keys
-    (any pair within hamming ≤3 shares ≥1 exact band — pigeonhole), bucket
-    with one groupby, verify hamming inside the bucket."""
+    (any pair within hamming ≤3 shares ≥1 exact band — pigeonhole), then
+    the near-duplicate engine (:func:`_near_dup_pairs`) verifies hamming
+    inside each bucket.  Hot buckets collapse identical simhashes to star
+    edges (hamming 0) and subdivide the rest by the other 16-bit bands."""
     sigged = ds.select_columns([id_col, text_col]).map_batches(
         partial(_simhash_batch, col=text_col), batch_format="pyarrow",
     ).drop_columns([text_col])
 
     def explode(t: pa.Table) -> pa.Table:
-        n = t.num_rows
         h = t["simhash"].to_numpy().view(np.uint64)
         parts = []
         for b in range(4):
@@ -630,96 +697,16 @@ def simhash_near_dups(
             parts.append(pa.table({"band_key": pa.array(key), id_col: t[id_col], "simhash": t["simhash"]}))
         return pa.concat_tables(parts)
 
-    def brute(ids, h):
-        ii, jj = np.triu_indices(len(ids), 1)
-        x = h[ii] ^ h[jj]
-        ham = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
-        keep = ham <= max_hamming
-        a, b = ids[ii[keep]], ids[jj[keep]]
-        swap = a > b
-        return np.where(swap, b, a), np.where(swap, a, b), ham[keep].astype(np.int64)
-
-    def rec(ids, h, depth=0):
-        """Hot buckets collapse identical simhashes to star edges (hamming 0)
-        around a min-id representative and recurse on the distinct hashes —
-        no silent drops (round-1 fix); as a last resort distinct hashes are
-        subdivided by another 16-bit band (graceful, pairs only split if
-        they differ in that band too)."""
-        n = len(ids)
-        if n < 2:
-            return [], [], []
-        if n <= _BUCKET_CAP:
-            a, b, m = brute(ids, h)
-            return [a], [b], [m]
-        order = np.argsort(h, kind="stable")
-        ids_s, h_s = ids[order], h[order]
-        starts = np.flatnonzero(np.r_[True, h_s[1:] != h_s[:-1]])
-        ends = np.r_[starts[1:], n]
-        oa, ob, om = [], [], []
-        rep_idx = []
-        for s, e_ in zip(starts, ends):
-            grp = ids_s[s:e_]
-            rep = s + int(np.argmin(grp))
-            rep_idx.append(rep)
-            if e_ - s > 1:
-                others = np.concatenate([grp[: rep - s], grp[rep - s + 1 :]])
-                oa.append(np.minimum(grp[rep - s], others))
-                ob.append(np.maximum(grp[rep - s], others))
-                om.append(np.zeros(len(others), np.int64))
-        rep_idx = np.array(rep_idx)
-        rids, rh = ids_s[rep_idx], h_s[rep_idx]
-        if len(rids) <= _BUCKET_CAP:
-            a, b, m = brute(rids, rh)
-            oa.append(a); ob.append(b); om.append(m)
-        elif depth < 3:
-            sub = ((rh >> np.uint64(16 * ((depth + 1) % 4))) & np.uint64(0xFFFF))
-            sorder = np.argsort(sub, kind="stable")
-            rids, rh, sub = rids[sorder], rh[sorder], sub[sorder]
-            bs = np.flatnonzero(np.r_[True, sub[1:] != sub[:-1]])
-            be = np.r_[bs[1:], len(rids)]
-            for s, e_ in zip(bs, be):
-                sa, sb, sm = rec(rids[s:e_], rh[s:e_], depth + 1)
-                oa += sa; ob += sb; om += sm
-        else:
-            # bands exhausted: hamming-verify everyone against the min-id
-            # rep — degraded recall, never a silent empty result
-            rep = int(np.argmin(rids))
-            x = rh ^ rh[rep]
-            ham = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
-            keep = (ham <= max_hamming) & (np.arange(len(rids)) != rep)
-            others = rids[keep]
-            oa.append(np.minimum(rids[rep], others))
-            ob.append(np.maximum(rids[rep], others))
-            om.append(ham[keep].astype(np.int64))
-        return oa, ob, om
-
-    def pairs(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        empty = pa.table({"a": pa.array([], g[id_col].type), "b": pa.array([], g[id_col].type),
-                          "hamming": pa.array([], pa.int64())})
-        if n < 2:
-            return empty
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        h = g["simhash"].to_numpy().view(np.uint64)
-        aa, bb, mm = rec(ids, h)
-        if not aa:
-            return empty
-        a = np.concatenate(aa)
-        if len(a) == 0:
-            return empty
-        return pa.table({"a": pa.array(a), "b": pa.array(np.concatenate(bb)),
-                         "hamming": pa.array(np.concatenate(mm))})
-
-    def pair_first(g: pa.Table) -> pa.Table:
-        return g.slice(0, 1)
-
-    return (
-        sigged.map_batches(explode, batch_format="pyarrow")
-        .groupby("band_key")
-        .map_groups(pairs, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .map_groups(pair_first, batch_format="pyarrow")
-    )
+    return _near_dup_pairs(sigged.map_batches(explode, batch_format="pyarrow"), id_col, _BUCKET_CAP, _Metric(
+        "hamming", pa.int64(),
+        rows=lambda t: t["simhash"].to_numpy().view(np.uint64),
+        score=lambda x, i, j: np.unpackbits(
+            (x[i] ^ x[j]).view(np.uint8).reshape(len(i), 8), axis=1).sum(axis=1, dtype=np.int64),
+        keep=lambda s: s <= max_hamming,
+        sub=lambda x, d: (x >> np.uint64(16 * ((d + 1) % 4))) & np.uint64(0xFFFF),
+        depth=3,
+        same=lambda x: x,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +723,11 @@ def embedding_near_dups(
     seed: int = 211,
 ) -> ray.data.Dataset:
     """Near-duplicate pairs by embedding cosine: random-hyperplane LSH keys
-    bucket the corpus with one groupby; exact cosine verification runs
-    inside each bucket.  Two near-identical vectors share all sign bits
-    with high probability; raise nbits for selectivity, lower for recall."""
+    bucket the corpus; the near-duplicate engine (:func:`_near_dup_pairs`)
+    verifies exact cosine inside each bucket.  Two near-identical vectors
+    share all sign bits with high probability; raise nbits for
+    selectivity, lower for recall.  Hot buckets subdivide with EXTRA
+    hyperplanes (seeded by depth), up to 6 levels, then a star pass."""
     from .ann import _bucket_keys, _hyperplanes, _matrix, _normalize
 
     planes_holder: dict = {}
@@ -755,79 +744,15 @@ def embedding_near_dups(
         keys = _bucket_keys(m, planes_holder["planes"])
         return pa.table({"band_key": pa.array(keys), id_col: t[id_col], emb_col: t[emb_col]})
 
-    def brute(ids, m):
-        sims = m @ m.T
-        ii, jj = np.triu_indices(len(ids), 1)
-        keep = sims[ii, jj] >= threshold
-        a, b = ids[ii[keep]], ids[jj[keep]]
-        swap = a > b
-        return (np.where(swap, b, a), np.where(swap, a, b),
-                sims[ii, jj][keep].astype(np.float64))
-
-    def rec(ids, m, depth=0):
-        """Hot buckets subdivide with EXTRA hyperplanes (seeded by depth) —
-        near-identical vectors share the new sign bits with high probability,
-        so recall degrades gracefully instead of dropping the bucket
-        (round-1 fix).  At the depth limit each row is verified against the
-        bucket's min-id representative (an O(n·d) star pass): a complete
-        edge cover for the mutually-near case that makes buckets that hot."""
-        n = len(ids)
-        if n < 2:
-            return [], [], []
-        if n <= _BUCKET_CAP:
-            a, b, c = brute(ids, m)
-            return [a], [b], [c]
-        if depth < 6:
-            planes = _hyperplanes(m.shape[1], nbits, seed + 1000 * (depth + 1))
-            keys = _bucket_keys(m, planes)
-            order = np.argsort(keys, kind="stable")
-            ids_s, m_s, keys_s = ids[order], m[order], keys[order]
-            starts = np.flatnonzero(np.r_[True, keys_s[1:] != keys_s[:-1]])
-            ends = np.r_[starts[1:], n]
-            oa, ob, oc = [], [], []
-            if len(starts) == 1:  # subdivision made no progress → star pass
-                return rec(ids, m, depth=6)
-            for s, e_ in zip(starts, ends):
-                sa, sb, sc = rec(ids_s[s:e_], m_s[s:e_], depth + 1)
-                oa += sa; ob += sb; oc += sc
-            return oa, ob, oc
-        rep = int(np.argmin(ids))
-        sims = m @ m[rep]
-        keep = sims >= threshold
-        keep[rep] = False
-        others = ids[keep]
-        a = np.minimum(ids[rep], others)
-        b = np.maximum(ids[rep], others)
-        return [a], [b], [sims[keep].astype(np.float64)]
-
-    def pairs(g: pa.Table) -> pa.Table:
-        n = g.num_rows
-        empty = pa.table({"a": pa.array([], g[id_col].type), "b": pa.array([], g[id_col].type),
-                          "cosine": pa.array([], pa.float64())})
-        if n < 2:
-            return empty
-        ids = g[id_col].to_numpy(zero_copy_only=False)
-        m = _normalize(_matrix(g, emb_col))
-        aa, bb, cc = rec(ids, m)
-        if not aa:
-            return empty
-        a = np.concatenate(aa)
-        if len(a) == 0:
-            return empty
-        return pa.table({"a": pa.array(a), "b": pa.array(np.concatenate(bb)),
-                         "cosine": pa.array(np.concatenate(cc))})
-
-    def pair_first(g: pa.Table) -> pa.Table:
-        return g.slice(0, 1)
-
-    return (
-        ds.select_columns([id_col, emb_col])
-        .map_batches(key_batch, batch_format="pyarrow")
-        .groupby("band_key")
-        .map_groups(pairs, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .map_groups(pair_first, batch_format="pyarrow")
-    )
+    keyed = ds.select_columns([id_col, emb_col]).map_batches(key_batch, batch_format="pyarrow")
+    return _near_dup_pairs(keyed, id_col, _BUCKET_CAP, _Metric(
+        "cosine", pa.float64(),
+        rows=lambda t: _normalize(_matrix(t, emb_col)),
+        score=lambda x, i, j: np.einsum("ij,ij->i", x[i], x[j]),
+        keep=lambda s: s >= threshold,
+        sub=lambda x, d: _bucket_keys(x, _hyperplanes(x.shape[1], nbits, seed + 1000 * (d + 1))),
+        depth=6,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -915,15 +840,8 @@ def _bucket_jaccard(g: pa.Table, pref, threshold: float) -> pa.Table:
         has_a = (grp == 0).any()
         has_b = (grp == 1).any()
         if has_a and has_b:
-            a_pos = i + int(np.argmax(grp == 0))
-            b_pos = i + int(np.argmax(grp == 1))
-            a = np.frombuffer(grams[a_pos] or b"", np.uint64)
-            b = np.frombuffer(grams[b_pos] or b"", np.uint64)
-            if len(a) == 0 and len(b) == 0:
-                jac = 1.0  # two empty docs are identical
-            else:
-                inter = len(np.intersect1d(a, b, assume_unique=True))
-                jac = inter / (len(a) + len(b) - inter)
+            jac = _jaccard(grams[i + int(np.argmax(grp == 0))],
+                           grams[i + int(np.argmax(grp == 1))])
             if jac >= threshold:
                 out_p.append(int(pidx[i]))
                 out_j.append(jac)
@@ -936,29 +854,24 @@ def _bucket_jaccard(g: pa.Table, pref, threshold: float) -> pa.Table:
     })
 
 
+def _jaccard(ga: bytes | None, gb: bytes | None) -> float:
+    """Exact Jaccard of two gram blobs (:func:`_gram_blobs`): one vectorized
+    merge of two sorted-unique uint64 arrays."""
+    a = np.frombuffer(ga or b"", np.uint64)
+    b = np.frombuffer(gb or b"", np.uint64)
+    if len(a) == 0 and len(b) == 0:
+        return 1.0  # two empty docs are identical
+    inter = len(np.intersect1d(a, b, assume_unique=True))
+    return inter / (len(a) + len(b) - inter)
+
+
 def _exact_jaccard_rows(t: pa.Table, threshold: float) -> pa.Table:
     """Exact Jaccard for each (grams_a, grams_b) row; keeps rows ≥ threshold.
     The loop runs over CANDIDATE PAIRS only (pairs ≪ corpus — same
-    contract as the components step); each intersection is a vectorized
-    merge of two sorted-unique uint64 arrays."""
-    if t.num_rows == 0:
-        return t.drop_columns(["grams_a", "grams_b"]).append_column(
-            "jaccard", pa.array([], pa.float64())
-        )
-    ga = t["grams_a"].to_pylist()
-    gb = t["grams_b"].to_pylist()
-    jac = np.empty(t.num_rows, np.float64)
-    for i, (ba, bb) in enumerate(zip(ga, gb)):
-        a = np.frombuffer(ba or b"", np.uint64)
-        b = np.frombuffer(bb or b"", np.uint64)
-        if len(a) == 0 and len(b) == 0:
-            jac[i] = 1.0  # two empty docs are identical
-            continue
-        inter = len(np.intersect1d(a, b, assume_unique=True))
-        jac[i] = inter / (len(a) + len(b) - inter)
-    out = t.drop_columns(["grams_a", "grams_b"]).append_column(
-        "jaccard", pa.array(jac)
-    )
+    contract as the components step)."""
+    jac = np.array([_jaccard(a, b) for a, b in
+                    zip(t["grams_a"].to_pylist(), t["grams_b"].to_pylist())], np.float64)
+    out = t.drop_columns(["grams_a", "grams_b"]).append_column("jaccard", pa.array(jac))
     return out.filter(pc.greater_equal(out["jaccard"], pa.scalar(threshold)))
 
 
@@ -970,7 +883,6 @@ def ngram_jaccard_pairs(
     shingle_k: int = 5,
     candidate_threshold: float | None = None,
     num_buckets: int = 32,
-    concurrency: int | tuple | None = None,
     broadcast_max_pairs: int = 5_000_000,
     **lsh_kwargs,
 ) -> ray.data.Dataset:
@@ -1006,19 +918,13 @@ def ngram_jaccard_pairs(
     documented gap), the output equals the exhaustive-SQL pair set.
 
     The candidate set is MATERIALIZED first: pairs ≪ corpus (bounded
-    memory), and splitting the execution keeps the LSH stage's bucket
-    groupby out of the downstream DAG (when the signature stage ran as an
-    actor pool, fusing them deadlocked at 4 CPUs: pools + read held every
-    slot while the groupby's map tasks pended forever — see
-    ``config._WORKER_STATE`` for why it is a task stage now)."""
+    memory)."""
     cands = lsh_candidates(
         ds, text_col, id_col,
         shingle_k=shingle_k,
         threshold=(candidate_threshold
                    if candidate_threshold is not None
                    else max(0.0, threshold - 0.2)),
-        concurrency=concurrency,
-        dedup_pairs=True,
         **lsh_kwargs,
     ).select_columns(["a", "b"]).materialize()
 
@@ -1074,29 +980,9 @@ def ngram_jaccard_dedup(
     """Keep one representative (min id) per exact-Jaccard component — same
     adaptive components / broadcast-drop-set plan as :func:`minhash_dedup`,
     but edges come from the exact metric."""
-    pairs = ngram_jaccard_pairs(
-        ds, text_col, id_col, threshold=threshold, **kwargs
-    ).materialize()
-    if pairs.count() <= driver_cc_max_pairs:
-        comp = connected_components(pairs.select_columns(["a", "b"]).take_all())
-        drop = {k for k, v in comp.items() if v != k}
-    else:
-        cc = connected_components_ds(pairs)
-        drop_rows = cc.map_batches(
-            lambda t: t.filter(pc.not_equal(t["lab"], t["node"])).select(["node"]),
-            batch_format="pyarrow",
-        ).take_all()
-        drop = {r["node"] for r in drop_rows}
-    drop_ref = ray.put(pa.array(sorted(drop)) if drop else None)
-
-    def keep(t: pa.Table) -> pa.Table:
-        d = ray.get(drop_ref)
-        if d is None:
-            return t
-        mask = pc.invert(pc.is_in(t[id_col], value_set=d.cast(t[id_col].type)))
-        return t.filter(mask)
-
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return _drop_components(
+        ds, id_col, ngram_jaccard_pairs(ds, text_col, id_col, threshold=threshold, **kwargs),
+        driver_cc_max_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ import ray
 import ray.data
 
 from ..config import cluster_cpus
+from ..exchange import fan, returns, split
 from ..state.atomic import commit_json
 from .dedup import _band_rows, _minhash_batch
 
@@ -194,15 +195,15 @@ def dedup_against_index(
     k = min(n_shards, max(1, int(cluster_cpus())))
     cuts = [n_shards * j // k for j in range(k)]
     ends = cuts[1:] + [n_shards]
-    routed = [_fan(_route, 1 + 2 * k, b, schema, meta, cuts) for b in blocks]
+    routed = [fan(_route, 1 + 2 * k, b, schema, meta, cuts) for b in blocks]
     touched = sorted(set().union(*ray.get([r[0] for r in routed])))
     probed = [
-        _fan(_probe, k, meta, cuts, bucket_cap,
-             _shard_files(index_dir, "bands", [s for s in touched if lo <= s < hi]),
-             *[r[1 + j] for r in routed])
+        fan(_probe, k, meta, cuts, bucket_cap,
+            _shard_files(index_dir, "bands", [s for s in touched if lo <= s < hi]),
+            *[r[1 + j] for r in routed])
         for j, (lo, hi) in enumerate(zip(cuts, ends))
     ]
-    attached = [_fan(_attach, k, index_dir, meta, cuts, *[p[j] for p in probed])
+    attached = [fan(_attach, k, index_dir, meta, cuts, *[p[j] for p in probed])
                 for j in range(k)]
     return ray.data.from_arrow_refs([
         _verify.remote(meta, sim_threshold, len(blocks),
@@ -214,21 +215,6 @@ def dedup_against_index(
 def _no_matches(id_type: pa.DataType) -> pa.Table:
     return pa.table({"a": pa.array([], id_type), "b": pa.array([], id_type),
                      "sim": pa.array([], pa.float64())})
-
-
-def _fan(task, n: int, *args) -> list:
-    """Run ``task`` with ``n`` return objects (one per shard range); their refs."""
-    refs = task.options(num_returns=n).remote(*args)
-    return refs if n > 1 else [refs]
-
-
-def _split(t: pa.Table, shard: np.ndarray, cuts: list[int]) -> list[pa.Table]:
-    """``t``'s rows ordered by ``shard``, one slice per shard range
-    (``cuts``: each range's first shard)."""
-    order = np.argsort(shard, kind="stable")
-    at = [0, *np.searchsorted(shard[order], cuts[1:]), t.num_rows]
-    t = t.take(order)
-    return [t.slice(lo, hi - lo) for lo, hi in zip(at, at[1:])]
 
 
 def _shard_files(index_dir: str, table: str, shards) -> list[str]:
@@ -278,8 +264,8 @@ def _route(t: pa.Table, schema: pa.Schema, meta: dict, cuts: list[int]) -> list:
     t = t if t.num_rows else schema.empty_table()  # Ray's empty blocks may lack columns
     nb = _band_rows(t, id_col, meta["num_perm"], meta["bands"]).drop_columns(["sig"])
     shard = _band_shard(nb["band_key"], n)
-    return [np.unique(shard).tolist(), *_split(nb, shard, cuts),
-            *_split(t, _id_shard(t[id_col], n), cuts)]
+    return [np.unique(shard).tolist(), *split(nb, shard, cuts),
+            *split(t, _id_shard(t[id_col], n), cuts)]
 
 
 @ray.remote
@@ -311,8 +297,7 @@ def _probe(meta: dict, cuts: list[int], bucket_cap: int, files: list[str],
         "a": old[id_col].take(o_ord[o_lo[key] + p // n_cnt[key]]),
         "b": nb[id_col].take(n_ord[n_lo[key] + p % n_cnt[key]]),
     }).group_by(["a", "b"]).aggregate([])  # a pair surfaces from several bands
-    out = _split(pairs, _id_shard(pairs["a"], meta["n_shards"]), cuts)
-    return out if len(out) > 1 else out[0]
+    return returns(split(pairs, _id_shard(pairs["a"], meta["n_shards"]), cuts))
 
 
 @ray.remote
@@ -328,9 +313,8 @@ def _attach(index_dir: str, meta: dict, cuts: list[int],
         _shard_files(index_dir, "sigs", np.unique(_id_shard(want, n)).tolist()),
         [id_col, "sig"], id_col, want,
         pa.table({id_col: want.slice(0, 0), "sig": pa.array([], pa.list_(pa.int64()))}))
-    out = _split(pairs.append_column("sig_a", _gather(sigs, id_col, pairs["a"])),
-                 _id_shard(pairs["b"], n), cuts)
-    return out if len(out) > 1 else out[0]
+    return returns(split(pairs.append_column("sig_a", _gather(sigs, id_col, pairs["a"])),
+                         _id_shard(pairs["b"], n), cuts))
 
 
 @ray.remote

@@ -385,148 +385,3 @@ def semi_join(
 
 def anti_join(big: ray.data.Dataset, keys, on: str) -> ray.data.Dataset:
     return semi_join(big, keys, on, anti=True)
-
-
-def skew_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str,
-    how: str = "inner",
-    hot_min_count: int = 100_000,
-    num_buckets: int = 32,
-    broadcast_cap_rows: int = 1_000_000,
-    detect_sample: float = 0.05,
-    hot_keys: list | None = None,
-    stats_out: dict | None = None,
-) -> ray.data.Dataset:
-    """Skew-aware join: keys hot on the LEFT (fact) side never enter the
-    shuffle.  A plain hash join sends every row of a hot key to ONE bucket
-    task, which must hold that key's full row set (and its join output) in
-    a single heap — at 10^10 rows a hostage key is an OOM, not a slowdown.
-    Here the hot rows stay in streaming ``map_batches`` (peak memory =
-    batch size) and the exchange carries only the cold tail — the bench
-    measures the exchange-volume reduction directly.  (Wall-time on a
-    single node breaks even only at extreme skew: Arrow's in-bucket join
-    is fast, and this plan spends extra passes on detection + routing —
-    measured honestly in BASELINE.md.)  Plan:
-
-    1. detect hot left keys with the exact-output CMS pass
-       (``sketch.heavy_hitters``: count ≥ ``hot_min_count``) — one pass,
-       no false negatives, candidates verified exactly;
-    2. hot left rows join in-task against the BROADCAST right rows of
-       those keys (``ray.put`` once, fetched once per worker) — zero
-       exchange for precisely the rows a shuffle handles worst;
-    3. cold rows of both sides take the normal partitioned
-       :func:`hash_join`;
-    4. union — each left row travels exactly one path, so inner/left
-       multiplicities are exact.
-
-    ``how`` ∈ {inner, left}.  The broadcast side is bounded by
-    |hot keys| × rows-per-key on the RIGHT (the dimension side, small by
-    contract); ``broadcast_cap_rows`` fails loudly if that contract is
-    violated rather than silently OOMing workers.  With no hot keys this
-    IS ``hash_join``."""
-    if how not in ("inner", "left"):
-        raise ValueError(f"skew_join supports inner/left, got {how!r}")
-    key_type = left.schema().types[left.schema().names.index(on)]
-    if hot_keys is None:
-        # Detection on a deterministic md5 SAMPLE: a false negative only
-        # routes that key through the hash path (correctness unaffected —
-        # hot routing is a pure optimization), so sampling is safe and
-        # cuts the detection pass to detect_sample of the left side.  The
-        # threshold halves on top of the scaling to keep marginal hot
-        # keys detected w.h.p.
-        from .functions.sketch import heavy_hitters
-
-        det = left
-        thr = hot_min_count
-        if 0 < detect_sample < 1.0:
-            # batch-local stride sample — row-level, so a hot key's count
-            # scales by detect_sample (a per-KEY md5 draw would keep or
-            # drop a key wholesale).  Which keys get detected may vary
-            # with block layout; the OUTPUT never does (both paths emit
-            # identical rows — pytest-pinned against hash_join).
-            stride = max(2, int(round(1.0 / detect_sample)))
-
-            def _stride(t: pa.Table) -> pa.Table:
-                return t.take(pa.array(
-                    np.arange(0, t.num_rows, stride, dtype=np.int64)))
-
-            det = left.select_columns([on]).map_batches(
-                _stride, batch_format="pyarrow")
-            thr = max(2, int(hot_min_count / stride * 0.5))
-        hot_rows = heavy_hitters(det, on, thr).take_all()
-        hot_keys = [r[on] for r in hot_rows]
-    if not hot_keys:
-        if stats_out is not None:
-            stats_out.update({"hot_keys": 0, "hot_left_rows": 0,
-                              "exchange_frac": 1.0})
-        return hash_join(left, right, on, how=how, num_buckets=num_buckets)
-    # pin both sides: the split below reads each side twice; without the
-    # pin the upstream parquet scan would execute per consumer (at true
-    # 100-TB scale pass hot_keys explicitly and accept the re-scan instead
-    # of pinning the corpus)
-    left = left.materialize()
-    right = right.materialize()
-    hot_arr = pa.array(list(hot_keys), key_type)
-    href = ray.put(hot_arr)
-
-    def split(want_hot: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            from .config import _worker_state
-
-            ks = _worker_state(("skew_hot", href.hex()), lambda: ray.get(href))
-            m = pc.is_in(t[on], value_set=ks)
-            return t.filter(m if want_hot else pc.invert(m))
-
-        return fn
-
-    right_hot_parts = [
-        t for t in ray.get(
-            right.map_batches(split(True), batch_format="pyarrow").to_arrow_refs())
-        if t.num_rows
-    ]
-    right_hot = (pa.concat_tables(right_hot_parts).combine_chunks()
-                 if right_hot_parts else None)
-    if right_hot is not None and right_hot.num_rows > broadcast_cap_rows:
-        raise ValueError(
-            f"right side holds {right_hot.num_rows} rows for the "
-            f"{len(hot_keys)} hot keys (> cap {broadcast_cap_rows}); the "
-            "broadcast contract needs a small right side — raise "
-            "hot_min_count or pre-aggregate the right side")
-
-    l_only = [c for c in left.schema().names if c != on]
-    r_only = [c for c in right.schema().names if c != on]
-    out_cols = [on] + l_only + r_only
-    left_hot = left.map_batches(split(True), batch_format="pyarrow")
-    left_cold = left.map_batches(split(False), batch_format="pyarrow")
-    right_cold = right.map_batches(split(False), batch_format="pyarrow")
-    if stats_out is not None:
-        # measured routing: only the cold tail enters the exchange (both
-        # inputs are pinned, so these counts are cheap object-store scans)
-        n_left = left.count()
-        n_hot = left_hot.count()
-        stats_out.update({
-            "hot_keys": len(hot_keys),
-            "hot_left_rows": int(n_hot),
-            "exchange_frac": round((n_left - n_hot) / max(n_left, 1), 4),
-        })
-
-    if right_hot is None or right_hot.num_rows == 0:
-        # hot keys have no right partners: inner drops them, left
-        # null-extends them — both via a left-broadcast against an empty
-        # lookup only for how='left'
-        if how == "inner":
-            hot_out = None
-        else:
-            empty = pa.table({c: pa.array([], t) for c, t in zip(
-                right.schema().names, right.schema().types)})
-            hot_out = broadcast_join(left_hot, empty, on, how="left")
-    else:
-        hot_out = broadcast_join(left_hot, right_hot, on, how=how)
-    cold_out = hash_join(left_cold, right_cold, on, how=how,
-                         num_buckets=num_buckets)
-    cold_out = cold_out.select_columns(out_cols)
-    if hot_out is None:
-        return cold_out
-    return hot_out.select_columns(out_cols).union(cold_out)

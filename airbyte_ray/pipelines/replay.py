@@ -83,6 +83,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 
 from ..config import cluster_cpus
+from ..exchange import fan, returns, split
 from ..schemas import CDC_DELETED_AT, CDC_UPDATED_AT, conform_table, unify_schemas
 from ..sources.event_log import EventLogScan, scan_event_log
 from ..state.atomic import replace_atomically
@@ -625,10 +626,7 @@ def _route_range(scan: EventLogScan | _Blocks, targets: list[_Target], files: li
     rows whose (tgt, part) key number is in ``[cuts[j], cuts[j + 1])``."""
     t = _route(scan.table(files), targets)
     first = np.cumsum([0] + [tg.num_partitions for tg in targets])
-    key = first[t["tgt"].to_numpy()] + t["part"].to_numpy()
-    at = [0, *np.searchsorted(key, cuts[1:]), t.num_rows]
-    slices = [t.slice(lo, hi - lo) for lo, hi in zip(at, at[1:])]
-    return slices if len(slices) > 1 else slices[0]
+    return returns(split(t, first[t["tgt"].to_numpy()] + t["part"].to_numpy(), cuts))
 
 
 @ray.remote
@@ -683,11 +681,8 @@ def _apply_targets(source: EventLogScan | _Blocks, targets: list[_Target],
         plan = "exchange"
         keys = sum(tg.num_partitions for tg in targets)
         cuts = [rng[0] for rng in _cut(list(range(keys)), [est / keys] * keys)]
-        route = _route_range.options(num_returns=len(cuts))
-        slices = [route.remote(*args, rng, cuts)
+        slices = [fan(_route_range, len(cuts), *args, rng, cuts)
                   for rng in _cut(source.files, [source.file_rows[f] for f in source.files])]
-        if len(cuts) == 1:
-            slices = [[s] for s in slices]
         lineage = [r for rows in ray.get([_merge_range.remote(args[1], *col)
                                           for col in zip(*slices)]) for r in rows]
     by_target: list[list[dict]] = [[] for _ in targets]

@@ -201,6 +201,82 @@ def test_connected_components_ds_matches_driver():
     assert got == {k: v for k, v in expected.items()}
 
 
+def _pair_set(ds) -> set:
+    return {(r["a"], r["b"]) for r in ds.take_all()}
+
+
+def _planted_embeddings(n: int = 200, dups: int = 10) -> pa.Table:
+    """``n`` random unit-ish vectors plus ``dups`` scaled (colinear) copies."""
+    rng = np.random.default_rng(5)
+    vecs = rng.standard_normal((n, 16)).astype(np.float32)
+    vecs = np.vstack([vecs, vecs[:dups] * 2])
+    return pa.table({
+        "vec_id": pa.array(list(range(n)) + [1000 + j for j in range(dups)], pa.int64()),
+        "embedding": pa.array([v.tolist() for v in vecs], pa.list_(pa.float32())),
+    })
+
+
+def test_near_dup_pairs_do_not_depend_on_the_range_count(dup_docs, monkeypatch):
+    """The route → pair → pair-dedup tasks cut one range per CPU; each
+    operator's pair set is the same with one range and with sixteen."""
+    from airbyte_ray.functions import dedup
+
+    path, _ = dup_docs
+    docs = ray.data.read_parquet(path)
+    emb = ray.data.from_arrow(_planted_embeddings())
+    runs = {
+        "lsh": lambda: lsh_candidates(docs, "text", "doc_id", num_perm=64, bands=16,
+                                      threshold=0.5),
+        "simhash": lambda: simhash_near_dups(docs, "text", "doc_id"),
+        "embedding": lambda: dedup.embedding_near_dups(emb, "embedding", "vec_id",
+                                                       threshold=0.99, nbits=4),
+    }
+    got = {}
+    for cpus in (1, 16):
+        monkeypatch.setattr(dedup, "cluster_cpus", lambda: cpus)
+        got[cpus] = {name: _pair_set(run()) for name, run in runs.items()}
+    assert got[1] == got[16]
+    assert all((j, 10_000 + j) in got[1]["lsh"] for j in range(10))
+    assert all((j, 10_000 + j) in got[1]["simhash"] for j in range(10))
+    assert {(j, 1000 + j) for j in range(10)} <= got[1]["embedding"]
+
+
+def test_near_dup_empty_input_keeps_the_output_schema():
+    from airbyte_ray.functions.dedup import embedding_near_dups
+
+    docs = ray.data.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+                                         "text": pa.array([], pa.string())}))
+    emb = ray.data.from_arrow(_planted_embeddings().slice(0, 0))
+    for ds, col, typ in [
+        (lsh_candidates(docs, "text", "doc_id"), "est_jaccard", pa.float64()),
+        (simhash_near_dups(docs, "text", "doc_id"), "hamming", pa.int64()),
+        (embedding_near_dups(emb, "embedding", "vec_id"), "cosine", pa.float64()),
+    ]:
+        assert ds.count() == 0
+        assert ds.schema().base_schema == pa.schema(
+            [("a", pa.int64()), ("b", pa.int64()), (col, typ)])
+
+
+@pytest.mark.parametrize("op", ["minhash_dedup", "ngram_jaccard_dedup"])
+def test_components_tail_label_propagation_matches_union_find(dup_docs, op):
+    """``driver_cc_max_pairs=0`` sends the shared components tail down its
+    distributed label-propagation branch: it keeps exactly the rows of
+    the driver union-find branch."""
+    from airbyte_ray.functions import dedup
+
+    path, _ = dup_docs
+    ds = ray.data.read_parquet(path)
+
+    def kept(cap: int) -> list:
+        out = getattr(dedup, op)(ds, "text", "doc_id", threshold=0.6, num_perm=64,
+                                 bands=16, driver_cc_max_pairs=cap)
+        return sorted(r["doc_id"] for r in out.take_all())
+
+    driver = kept(2_000_000)
+    assert kept(0) == driver
+    assert not any(10_000 + j in driver for j in range(10))
+
+
 # -- ann --------------------------------------------------------------------
 
 def test_brute_force_topk_matches_duckdb():
@@ -538,6 +614,23 @@ def test_ngram_jaccard_exact_pairs(dup_docs):
                                 num_perm=64, bands=16).take_all()}
     assert not any(10_000 + j in kept for j in range(10))
     assert all(j in kept for j in range(10))
+
+
+def test_ngram_jaccard_pairs_hash_join_fallback(dup_docs):
+    """Above ``broadcast_max_pairs`` the verification join runs as two
+    ``hash_join``s; it returns the broadcast plan's (a, b, jaccard) rows."""
+    from airbyte_ray.functions.dedup import ngram_jaccard_pairs
+
+    path, _ = dup_docs
+    ds = ray.data.read_parquet(path)
+
+    def rows(cap: int) -> list:
+        out = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.6, num_perm=64,
+                                  bands=16, broadcast_max_pairs=cap)
+        return sorted((r["a"], r["b"], r["jaccard"]) for r in out.take_all())
+
+    broadcast = rows(5_000_000)
+    assert broadcast and rows(0) == broadcast
 
 
 def test_append_to_ivf_index_matches_full_build(tmp_path):

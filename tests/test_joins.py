@@ -125,98 +125,3 @@ def test_hash_join_full_outer():
     assert out["k"].tolist() == [1, 2, 3, 4]
     assert out["lv"].tolist() == ["a", "b", "c", None]
     assert out["rv"].fillna(-1).tolist() == [-1, 20, 30, 40]
-
-
-def _skew_fixture():
-    import numpy as np
-
-    # one scorching key (5k rows), a warm key (500), 200 cold keys
-    keys = [7] * 5000 + [11] * 500 + list(range(100, 300)) * 3
-    rng = np.random.default_rng(3)
-    rng.shuffle(keys)
-    left = pa.table({"k": pa.array(keys, pa.int64()),
-                     "lv": pa.array(range(len(keys)), pa.int64())})
-    right = pa.table({"k": pa.array([7, 11] + list(range(100, 250)), pa.int64()),
-                      "rv": pa.array([f"r{k}" for k in
-                                      [7, 11] + list(range(100, 250))])})
-    return left, right
-
-
-def test_skew_join_matches_hash_join():
-    from airbyte_ray.joins import skew_join
-
-    left, right = _skew_fixture()
-    for how in ("inner", "left"):
-        got = _sorted_df(
-            pa.Table.from_pylist(
-                skew_join(ray.data.from_arrow(left).repartition(6),
-                          ray.data.from_arrow(right), "k",
-                          how=how, hot_min_count=400).take_all()),
-            ["k", "lv"])
-        exp = _sorted_df(
-            pa.Table.from_pylist(
-                hash_join(ray.data.from_arrow(left),
-                          ray.data.from_arrow(right), "k",
-                          how=how).take_all()),
-            ["k", "lv"])
-        assert got["k"].tolist() == exp["k"].tolist(), how
-        assert got["lv"].tolist() == exp["lv"].tolist(), how
-        assert got["rv"].fillna("∅").tolist() == exp["rv"].fillna("∅").tolist(), how
-
-
-def test_skew_join_no_hot_keys_falls_back():
-    from airbyte_ray.joins import skew_join
-
-    left, right = _skew_fixture()
-    got = skew_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", hot_min_count=10_000)  # nothing qualifies
-    exp = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right), "k")
-    assert sorted((r["k"], r["lv"]) for r in got.take_all()) == \
-        sorted((r["k"], r["lv"]) for r in exp.take_all())
-
-
-def test_skew_join_hot_key_without_right_partner():
-    from airbyte_ray.joins import skew_join
-
-    left = pa.table({"k": pa.array([1] * 1000 + [2, 3], pa.int64()),
-                     "lv": pa.array(range(1002), pa.int64())})
-    right = pa.table({"k": pa.array([2, 3], pa.int64()),
-                      "rv": pa.array(["a", "b"])})
-    inner = skew_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                      "k", how="inner", hot_min_count=100)
-    assert sorted(r["k"] for r in inner.take_all()) == [2, 3]
-    lft = skew_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", how="left", hot_min_count=100)
-    rows = lft.take_all()
-    assert len(rows) == 1002  # every left row preserved
-    assert all(r["rv"] is None for r in rows if r["k"] == 1)
-
-
-def test_skew_join_broadcast_cap_raises():
-    import pytest as _pt
-
-    from airbyte_ray.joins import skew_join
-
-    left = pa.table({"k": pa.array([1] * 1000, pa.int64()),
-                     "lv": pa.array(range(1000), pa.int64())})
-    right = pa.table({"k": pa.array([1] * 50, pa.int64()),
-                      "rv": pa.array([f"r{i}" for i in range(50)])})
-    with _pt.raises(ValueError, match="cap"):
-        skew_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                  "k", hot_min_count=100, broadcast_cap_rows=10)
-
-
-def test_skew_join_routes_hot_rows_off_the_exchange():
-    from airbyte_ray.joins import skew_join
-
-    left, right = _skew_fixture()
-    stats = {}
-    out = skew_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", hot_min_count=400, detect_sample=1.0,
-                    stats_out=stats)
-    assert out.count() > 0
-    # keys 7 (5000 rows) and 11 (500) are hot at threshold 400; 5500 of
-    # 6100 left rows bypass the exchange
-    assert stats["hot_keys"] == 2
-    assert stats["hot_left_rows"] == 5500
-    assert stats["exchange_frac"] == round(600 / 6100, 4)

@@ -112,13 +112,15 @@ def test_lww_reduce_idempotent(lsns):
 @settings(max_examples=30, deadline=None)
 def test_hot_bucket_cover_preserves_components(n_groups, group_sizes, cap):
     """Property: for ANY bucket of signature rows and ANY cap, the hot-bucket
-    edge cover (_sig_pairs_rec) yields the same connected components as the
-    exhaustive O(n²) verifier — no silent recall loss, ever."""
+    edge cover (_bucket_pairs over one bucket) yields the same connected
+    components as the exhaustive O(n²) verifier — no silent recall loss,
+    ever."""
     import numpy as np
 
     from airbyte_ray.functions.dedup import (
-        _brute_sig_pairs,
-        _sig_pairs_rec,
+        _bucket_pairs,
+        _minhash_metric,
+        _verified,
         connected_components,
     )
 
@@ -143,11 +145,10 @@ def test_hot_bucket_cover_preserves_components(n_groups, group_sizes, cap):
             groups.setdefault(lab.get(int(node), int(node)), set()).add(int(node))
         return sorted(frozenset(g) for g in groups.values())
 
-    ea, eb, _ = _brute_sig_pairs(ids, sigs, 0.9)
-    oa, ob, _ = _sig_pairs_rec(ids, sigs, 0.9, cap)
-    cover = (
-        zip(np.concatenate(oa), np.concatenate(ob)) if oa else iter(())
-    )
+    m = _minhash_metric(num_perm, 0.9)
+    ea, eb, _ = _verified(ids, sigs, *np.triu_indices(len(ids), 1), m)
+    parts = _bucket_pairs(ids, sigs, np.zeros(len(ids), np.int64), m, cap, 0)
+    cover = zip(np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts]))
     assert comps(cover) == comps(zip(ea, eb))
 
 
